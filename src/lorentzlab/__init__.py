@@ -1,24 +1,26 @@
 """lorentzlab: numerical checks for weighted curvature on Lorentzian spacetimes."""
 
-from .manifold import (INFINITE_M, BakryEmeryParams, MetricField, PointVector,
-                       ScalarField, bakry_emery_ricci, causal_character,
-                       christoffel, constant_scalar, hessian_scalar, ricci,
-                       riemann, riemann_lowered)
+from .manifold import (INFINITE_M, BakryEmeryParams, MetricField, ScalarField,
+                       bakry_emery_ricci, causal_character, christoffel,
+                       constant_scalar, hessian_scalar, ricci, riemann,
+                       riemann_lowered)
 from .congruence import (EndomorphismSeries, FrameField, GeodesicTrajectory,
-                         constant_endomorphism, curvature_endomorphism,
-                         endomorphism_series, integrate_geodesic,
-                         modified_endomorphism, parallel_frame)
+                         curvature_endomorphism, endomorphism_series,
+                         integrate_geodesic, modified_endomorphism,
+                         parallel_frame)
 from .jacobi import (CongruenceDiagnostics, ConjugateReport, JacobiTrajectory,
-                     NormalCongruenceSpec, asymptotic_lagrange, boundary_jacobi,
-                     d_s_integral_formula, detect_conjugate, integrate_jacobi,
-                     kinematics, lagrange_defect, mean_curvature_evolution,
-                     raychaudhuri_residual, verify_interval_finite_m,
-                     verify_interval_infinite, verify_null_focal_bound)
+                     asymptotic_lagrange, boundary_jacobi, d_s_integral_formula,
+                     detect_conjugate, integrate_jacobi, kinematics,
+                     lagrange_defect, raychaudhuri_residual,
+                     verify_interval_finite_m, verify_interval_infinite,
+                     verify_null_focal_bound)
 from .comparison import (ConditionReport, SampleSpec, check_f_generic,
                          check_timelike_convergence, f_laplacian_distance,
                          schwarz_equality_residual, schwarz_gap,
                          trace_identity_check)
-from .pipeline import CongruenceRun, run_point_congruence, run_synthetic_congruence
+from .pipeline import (CongruenceRun, NormalCongruenceSpec,
+                       mean_curvature_evolution, run_point_congruence,
+                       run_synthetic_congruence)
 from .scenarios import (BUILTIN_SCENARIOS, Scenario, certify_weighted_de_sitter,
                         de_sitter, de_sitter_weighted, einstein_static, frw_toy,
                         linear_time_f, minkowski, scenario_from_config,

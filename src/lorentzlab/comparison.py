@@ -26,13 +26,12 @@ class SampleSpec:
 
     points: np.ndarray
     n_timelike: int = 16
-    n_null: int = 0
     seed: int = 20240
     chi_max: float = 3.0
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.n_timelike < 1 and self.n_null < 1:
+        if self.n_timelike < 1:
             raise ValueError("at least one direction per point is required")
 
 
@@ -61,30 +60,25 @@ def _orthonormal_basis(g: MetricField, p):
     return e0, spatial
 
 
-def _sample_directions(g, p, rng, n_timelike, n_null, chi_max):
-    """Unit timelike v = cosh(chi) e0 + sinh(chi) u and null v = e0 + u.
+def _sample_directions(g, p, rng, n_timelike, chi_max):
+    """Unit timelike v = cosh(chi) e0 + sinh(chi) u.
 
     Boost-parameter sampling covers the near-null cone where the sign of the
     weighted curvature can flip.
     """
     e0, spatial = _orthonormal_basis(g, p)
     k = len(spatial)
-    out_t, out_n = [], []
+    out = []
     for _ in range(n_timelike):
         chi = rng.uniform(0.0, chi_max)
         u = rng.normal(size=k)
         u /= np.linalg.norm(u)
         udir = sum(c * e for c, e in zip(u, spatial))
-        out_t.append(np.cosh(chi) * e0 + np.sinh(chi) * udir)
-    for _ in range(n_null):
-        u = rng.normal(size=k)
-        u /= np.linalg.norm(u)
-        udir = sum(c * e for c, e in zip(u, spatial))
-        out_n.append(e0 + udir)
-    return out_t, out_n
+        out.append(np.cosh(chi) * e0 + np.sinh(chi) * udir)
+    return out
 
 
-def sample_plan(g: MetricField, spec: SampleSpec, include_null=False):
+def sample_plan(g: MetricField, spec: SampleSpec):
     """Materialize the deterministic (point, directions) sample set.
 
     Per-point generators are spawned from the seed, so the plan does not
@@ -94,16 +88,14 @@ def sample_plan(g: MetricField, spec: SampleSpec, include_null=False):
     rngs = spawn_rngs(spec.seed, len(spec.points))
     plan = []
     for p, rng in zip(spec.points, rngs):
-        vs, vnull = _sample_directions(g, p, rng, spec.n_timelike,
-                                       spec.n_null if include_null else 0,
-                                       spec.chi_max)
-        plan.append((np.asarray(p, dtype=float), vs, vnull))
+        vs = _sample_directions(g, p, rng, spec.n_timelike, spec.chi_max)
+        plan.append((np.asarray(p, dtype=float), vs))
     return plan
 
 
 def check_timelike_convergence(g: MetricField, f: ScalarField,
                                params: BakryEmeryParams, spec: SampleSpec,
-                               threshold=-1e-9, include_null=False) -> ConditionReport:
+                               threshold=-1e-9) -> ConditionReport:
     """Minimum of Ric_f^m(v, v) over sampled unit timelike directions.
 
     The pointwise tensors Ric + Hess f and df are evaluated once per sample
@@ -113,10 +105,10 @@ def check_timelike_convergence(g: MetricField, f: ScalarField,
     best = np.inf
     arg_p, arg_v = None, None
     count = 0
-    for p, vs, vnull in sample_plan(g, spec, include_null=include_null):
+    for p, vs in sample_plan(g, spec):
         tensor = ricci(g, p) + hessian_scalar(g, f, p)
         df = f.gradient(p)
-        for v in vs + vnull:
+        for v in vs:
             val = float(v @ tensor @ v)
             if params.finite:
                 val -= float(df @ v) ** 2 / params.m

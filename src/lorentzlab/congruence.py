@@ -19,7 +19,7 @@ from . import manifold
 from .errors import FrameDegeneracy, IntegratorFailure, ZeroVector
 from .manifold import (MetricField, ScalarField, christoffel,
                        christoffel_unchecked, riemann)
-from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, ode_solve, uniform_grid
+from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, ode_solve
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -84,20 +84,18 @@ def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
     if g.domain is not None:
         events = []
         for c, (lo, hi) in enumerate(g.domain):
-            if np.isfinite(lo):
-                ev = (lambda t, y, c=c, lo=lo: y[c] - lo)
-                ev.terminal = True
-                events.append(ev)
-            if np.isfinite(hi):
-                ev = (lambda t, y, c=c, hi=hi: hi - y[c])
-                ev.terminal = True
-                events.append(ev)
+            for bound, side in ((lo, 1.0), (hi, -1.0)):
+                if np.isfinite(bound):
+                    # positive inside the domain: y[c] - lo, hi - y[c]
+                    ev = (lambda t, y, c=c, b=bound, s=side: s * (y[c] - b))
+                    ev.terminal = True
+                    events.append(ev)
 
     sol = ode_solve(rhs, span, np.concatenate([p0, v0]), rtol=rtol, atol=atol,
                     events=events)
     exited = sol.status == 1
     t_end = sol.t[-1]
-    ts = uniform_grid(span[0], t_end, n=max(n_samples, 2 * len(sol.t)))
+    ts = np.linspace(span[0], t_end, max(n_samples, 2 * len(sol.t)))
     states = sol.sol(ts)
     traj = GeodesicTrajectory(
         metric=g, character=character, norm=norm, t0=span[0], t1=t_end,
@@ -192,11 +190,6 @@ class FrameField:
         return float(np.max(np.abs(covariant)))
 
 
-def _project_out_unit_timelike(g, w, u):
-    # u unit timelike: w -> w + g(w,u) u is g-orthogonal to u
-    return w + float(w @ g @ u) * u
-
-
 def _gram_schmidt_spacelike(g, candidates, against, k, pivot_tol=1e-10):
     """Pick k g-orthonormal spacelike vectors from candidates, g-orthogonal
     to every vector in against (given with their dual coefficients applied)."""
@@ -220,15 +213,28 @@ def _gram_schmidt_spacelike(g, candidates, against, k, pivot_tol=1e-10):
     return chosen
 
 
+def _complete_frame(G, v, candidates, k, nvec=None):
+    """k spacelike g-orthonormal vectors from candidates, g-orthogonal to the
+    unit timelike v, or on a null geodesic to v and its partner nvec (which
+    then heads the returned stack)."""
+    if nvec is None:
+        def reduce(w):
+            # v unit timelike: w + g(w, v) v is g-orthogonal to v
+            return w + float(w @ G @ v) * v
+    else:
+        def reduce(w):
+            # remove v- and nvec-components using the dual pairing g(v, nvec) = -1
+            return w + float(w @ G @ nvec) * v + float(w @ G @ v) * nvec
+    E = np.array(_gram_schmidt_spacelike(G, candidates, [reduce], k))
+    return E if nvec is None else np.vstack([nvec, E])
+
+
 def _initial_frame(g: MetricField, p, v, character):
     n = g.dim
     G = g.at(p)
     candidates = list(np.eye(n))
     if character == TIMELIKE:
-        def reduce(w, u=v, G=G):
-            return _project_out_unit_timelike(G, w, u)
-        E = _gram_schmidt_spacelike(G, candidates, [reduce], n - 1)
-        return np.array(E)
+        return _complete_frame(G, v, candidates, n - 1)
     # null: build nvec from a unit timelike seed, then n-2 spacelike reps
     eigval, eigvec = np.linalg.eigh(G)
     tdir = eigvec[:, 0]
@@ -238,13 +244,7 @@ def _initial_frame(g: MetricField, p, v, character):
         raise FrameDegeneracy("degenerate null direction")
     alpha = -1.0 / a
     nvec = alpha * T + (alpha / (2.0 * a)) * v
-
-    def reduce(w, G=G, k=v, nv=nvec):
-        # remove k- and nvec-components using the dual pairing g(k, nvec) = -1
-        return w + float(w @ G @ nv) * k + float(w @ G @ k) * nv
-
-    E = _gram_schmidt_spacelike(G, candidates, [reduce], n - 2)
-    return np.vstack([nvec, np.array(E)])
+    return _complete_frame(G, v, candidates, n - 2, nvec)
 
 
 def parallel_frame(g: MetricField, geo: GeodesicTrajectory,
@@ -259,6 +259,10 @@ def parallel_frame(g: MetricField, geo: GeodesicTrajectory,
     """
     n = g.dim
     k = n - 1 if geo.character == TIMELIKE else n - 2
+    if k < 1:
+        raise FrameDegeneracy(
+            f"the normal bundle of a {geo.character} geodesic in dimension {n} "
+            "has no spacelike frame")
     stack0 = _initial_frame(g, geo.point(geo.t0), geo.velocity(geo.t0),
                             geo.character)
 
@@ -288,20 +292,12 @@ def _reorthogonalize(g, geo, t, stack):
     G = g.at(geo.point(t))
     v = geo.velocity(t)
     if geo.character == TIMELIKE:
-        def reduce(w, u=v, G=G):
-            return _project_out_unit_timelike(G, w, u)
-        E = _gram_schmidt_spacelike(G, list(stack), [reduce], stack.shape[0])
-        return np.array(E)
+        return _complete_frame(G, v, list(stack), stack.shape[0])
     nvec = stack[0]
     # restore g(nvec, v) = -1 and g(nvec, nvec) = 0, then re-run the spacelike GS
     nvec = nvec / (-float(nvec @ G @ v))
     nvec = nvec - 0.5 * float(nvec @ G @ nvec) * v
-
-    def reduce(w, G=G, kv=v, nv=nvec):
-        return w + float(w @ G @ nv) * kv + float(w @ G @ kv) * nv
-
-    E = _gram_schmidt_spacelike(G, list(stack[1:]), [reduce], stack.shape[0] - 1)
-    return np.vstack([nvec, np.array(E)])
+    return _complete_frame(G, v, list(stack[1:]), stack.shape[0] - 1, nvec)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +313,15 @@ def curvature_endomorphism(g: MetricField, geo: GeodesicTrajectory,
     quotient representatives is well defined because R(beta', beta') = 0.
     """
     p = geo.point(t)
-    v = geo.velocity(t)
-    G = g.at(p)
-    R = riemann(g, p)
     E = frame.vectors(t)
-    # (R(E_i, c') c')^a = R^a_{bcd} c'^b E_i^c c'^d
-    img = np.einsum("abcd,b,ic,d->ia", R, v, E, v)
-    return np.einsum("jb,ab,ia->ji", E, G, img)
+    return _curvature_matrix(g.at(p), riemann(g, p), geo.velocity(t), E, E)
+
+
+def _curvature_matrix(G, R, v, E_in, E_out):
+    # M[j, i] = g(R(E_in_i, v) v, E_out_j), with
+    # (R(E_i, v) v)^a = R^a_{bcd} v^b E_i^c v^d
+    img = np.einsum("abcd,b,ic,d->ia", R, v, E_in, v)
+    return np.einsum("jb,ab,ia->ji", E_out, G, img)
 
 
 def modified_endomorphism(g: MetricField, f: ScalarField,
@@ -334,13 +332,17 @@ def modified_endomorphism(g: MetricField, f: ScalarField,
     same normalization enters the weighted expansion, so the trace identity
     closes with matching coefficients in both cases.
     """
-    d = frame.k
     p = geo.point(t)
     v = geo.velocity(t)
-    hess_cc = float(v @ manifold.hessian_scalar(g, f, p) @ v)
-    fprime = float(f.gradient(p) @ v)
-    base = curvature_endomorphism(g, geo, frame, t)
-    return base + (hess_cc / d + (fprime / d) ** 2) * np.eye(d)
+    return _weighted(curvature_endomorphism(g, geo, frame, t),
+                     float(v @ manifold.hessian_scalar(g, f, p) @ v),
+                     float(f.gradient(p) @ v))
+
+
+def _weighted(R, hess_cc, fprime):
+    """R_f = R + (Hess f(c',c')/d + ((f o c)'/d)^2) E, d = size of R."""
+    d = R.shape[-1]
+    return R + (hess_cc / d + (fprime / d) ** 2) * np.eye(d)
 
 
 def quotient_invariance_residual(g: MetricField, geo: GeodesicTrajectory,
@@ -351,37 +353,33 @@ def quotient_invariance_residual(g: MetricField, geo: GeodesicTrajectory,
     defined."""
     if geo.character != NULL:
         raise ValueError("quotient invariance only applies to null geodesics")
-    base = curvature_endomorphism(g, geo, frame, t)
     p = geo.point(t)
     v = geo.velocity(t)
     G = g.at(p)
     R = riemann(g, p)
-    E = frame.vectors(t) + shift * v[None, :]
-    img = np.einsum("abcd,b,ic,d->ia", R, v, E, v)
-    shifted = np.einsum("jb,ab,ia->ji", frame.vectors(t), G, img)
+    E = frame.vectors(t)
+    base = _curvature_matrix(G, R, v, E, E)
+    shifted = _curvature_matrix(G, R, v, E + shift * v[None, :], E)
     return float(np.max(np.abs(shifted - base)))
 
 
 class EndomorphismSeries:
     """Sampled (and spline-interpolated) R(t), R_f(t) along a geodesic.
 
-    Also carries the scalar series (f o c), (f o c)' and Hess f(c', c') used
-    by the congruence diagnostics.  Calling the series evaluates R(t); the
+    Also carries the scalar series (f o c)' and Hess f(c', c') used by the
+    congruence diagnostics.  Calling the series evaluates R(t); the
     weighted endomorphism is available via .modified(t).
     """
 
-    def __init__(self, ts, R_samples, f_vals=None, fprime=None, hess_cc=None):
+    def __init__(self, ts, R_samples, fprime=None, hess_cc=None):
         self.ts = np.asarray(ts, dtype=float)
         self.R_samples = np.asarray(R_samples, dtype=float)
         self.dim = self.R_samples.shape[-1]
         self._rspline = CubicSpline(self.ts, self.R_samples, axis=0)
-        self.f_vals = None if f_vals is None else np.asarray(f_vals, dtype=float)
-        self.fprime_vals = None if fprime is None else np.asarray(fprime, dtype=float)
-        self.hess_cc_vals = None if hess_cc is None else np.asarray(hess_cc, dtype=float)
         self._fprime_spline = (None if fprime is None
-                               else CubicSpline(self.ts, self.fprime_vals))
+                               else CubicSpline(self.ts, fprime))
         self._hess_spline = (None if hess_cc is None
-                             else CubicSpline(self.ts, self.hess_cc_vals))
+                             else CubicSpline(self.ts, hess_cc))
 
     def __call__(self, t):
         return self._rspline(t)
@@ -390,13 +388,8 @@ class EndomorphismSeries:
         return 0.0 if self._fprime_spline is None else float(self._fprime_spline(t))
 
     def modified(self, t):
-        R = self._rspline(t)
-        if self._hess_spline is None and self._fprime_spline is None:
-            return R
-        d = self.dim
         hess = 0.0 if self._hess_spline is None else float(self._hess_spline(t))
-        fp = self.fprime(t)
-        return R + (hess / d + (fp / d) ** 2) * np.eye(d)
+        return _weighted(self._rspline(t), hess, self.fprime(t))
 
     def symmetry_residual(self) -> float:
         return float(np.max(np.abs(self.R_samples
@@ -407,29 +400,16 @@ def endomorphism_series(g: MetricField, geo: GeodesicTrajectory,
                         frame: FrameField, ts=None,
                         f: ScalarField | None = None) -> EndomorphismSeries:
     if ts is None:
-        ts = uniform_grid(geo.t0, geo.t1, n=max(400, 4 * len(geo.ts)))
+        ts = np.linspace(geo.t0, geo.t1, max(400, 4 * len(geo.ts)))
     ts = np.asarray(ts, dtype=float)
     R = np.array([curvature_endomorphism(g, geo, frame, t) for t in ts])
     if f is None:
         return EndomorphismSeries(ts, R)
-    f_vals, fp, hcc = [], [], []
+    fp, hcc = [], []
     for t in ts:
         p = geo.point(t)
         v = geo.velocity(t)
-        f_vals.append(f.at(p))
         fp.append(float(f.gradient(p) @ v))
         hcc.append(float(v @ manifold.hessian_scalar(g, f, p) @ v))
-    return EndomorphismSeries(ts, R, f_vals=f_vals, fprime=fp, hess_cc=hcc)
+    return EndomorphismSeries(ts, R, fprime=fp, hess_cc=hcc)
 
-
-def constant_endomorphism(value, k: int) -> EndomorphismSeries:
-    """Prescribed constant R(t) (a scalar multiple of the identity, or a
-    fixed matrix) wrapped with the same interface as metric-derived series.
-
-    The nominal sample grid is irrelevant: a constant spline evaluates to the
-    same matrix everywhere, including outside the grid.
-    """
-    value = np.asarray(value, dtype=float)
-    mat = value if value.ndim == 2 else float(value) * np.eye(k)
-    ts = np.linspace(0.0, 1.0, 5)
-    return EndomorphismSeries(ts, np.repeat(mat[None, :, :], 5, axis=0))

@@ -37,10 +37,6 @@ class QuadratureNearSingularity(LorentzLabError):
     """Quadrature requested inside the collar around a singular endpoint."""
 
 
-class HypothesisViolated(LorentzLabError):
-    """A curvature or bound hypothesis failed where it was required to hold."""
-
-
 class InsufficientSamples(LorentzLabError):
     """Too few samples for the requested numerical differentiation."""
 

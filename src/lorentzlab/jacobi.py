@@ -29,15 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from . import manifold
-from .congruence import (EndomorphismSeries, endomorphism_series,
-                         integrate_geodesic, parallel_frame)
 from .errors import (ConjugatePointInRange, InsufficientSamples,
                      InvalidInitialData, QuadratureNearSingularity)
-from .manifold import INFINITE_M, MetricField, ScalarField
+from .manifold import INFINITE_M
 from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson,
-                       golden_minimize, ode_solve, stencil_derivative,
-                       uniform_grid)
+                       golden_minimize, ode_solve, stencil_derivative)
 
 KERNEL_TOL = 1e-10
 THETA_BLOWUP = 1e6
@@ -46,8 +42,6 @@ THETA_BLOWUP = 1e6
 def _as_matrix_source(R_source, k):
     """Accept an EndomorphismSeries, a callable t -> matrix, a constant
     matrix, or a scalar; return a callable."""
-    if isinstance(R_source, EndomorphismSeries):
-        return R_source
     if callable(R_source):
         return R_source
     val = np.asarray(R_source, dtype=float)
@@ -56,6 +50,15 @@ def _as_matrix_source(R_source, k):
     else:
         mat = val
     return lambda t, _m=mat: _m
+
+
+def _matrix_size(R_source, t):
+    """Size k of the k x k matrices R_source yields, probed at t."""
+    probe = np.asarray(R_source(t) if callable(R_source) else R_source,
+                       dtype=float)
+    if probe.ndim != 2:
+        raise ValueError("the matrix size k of a scalar R_source is ambiguous")
+    return probe.shape[0]
 
 
 @dataclass
@@ -114,7 +117,7 @@ def integrate_jacobi(R_source, A0, A0p, span, rtol=DEFAULT_RTOL,
 
     sol = ode_solve(rhs, span, np.concatenate([A0.ravel(), A0p.ravel()]),
                     rtol=rtol, atol=atol)
-    ts = uniform_grid(span[0], sol.t[-1], n=max(n_samples, 2 * len(sol.t)))
+    ts = np.linspace(span[0], sol.t[-1], max(n_samples, 2 * len(sol.t)))
     return JacobiTrajectory(k=k, t0=span[0], t1=sol.t[-1], ts=ts, R_source=R,
                             initial={"A0": A0, "A0p": A0p}, _sol=sol)
 
@@ -157,10 +160,6 @@ class CongruenceDiagnostics:
         order = np.argsort(self.ts)  # backward runs store descending grids
         return float(np.interp(t, self.ts[order], self.theta_f[order]))
 
-    def fprime_at(self, t):
-        order = np.argsort(self.ts)
-        return float(np.interp(t, self.ts[order], self.fprime[order]))
-
 
 def _fprime_values(fprime, ts):
     if fprime is None:
@@ -186,7 +185,7 @@ def kinematics(traj: JacobiTrajectory, fprime=None, n=None, ts=None,
     if n is not None and k not in (n - 1, n - 2):
         raise ValueError(f"matrix size {k} inconsistent with dimension {n}")
     if ts is None:
-        ts = uniform_grid(traj.t0, traj.t1, n=max(400, len(traj.ts)))
+        ts = np.linspace(traj.t0, traj.t1, max(400, len(traj.ts)))
     ts = np.asarray(ts, dtype=float)
     fp = _fprime_values(fprime, ts)
 
@@ -399,21 +398,33 @@ def detect_conjugate(traj: JacobiTrajectory, n_grid=2000,
     return ConjugateReport(zeros=zeros, blowup_ts=blowups)
 
 
-def _ric_fm_from_trace(traj, fprime, m, k):
-    """Ric_f^m(c', c') recovered from tr R_f via the trace identity."""
+def _ric_fm_from_trace(traj, m, fprime=None):
+    """Ric_f^m(c', c') = tr R - ((f o c)')^2 / m, the trace identity solved
+    for the pointwise curvature; the last term is absent for m = INFINITE_M."""
     def ric(t):
-        R = traj.R_source(t)
-        fp = 0.0 if fprime is None else (fprime(t) if callable(fprime)
-                                         else float(np.interp(t, traj.ts, fprime)))
-        tr_rf = float(np.trace(R)) + fp ** 2 / k
-        if m is INFINITE_M:
-            return tr_rf - fp ** 2 / k
-        return tr_rf - (1.0 / k + 1.0 / float(m)) * fp ** 2
+        tr = float(np.trace(traj.R_source(t)))
+        return tr if m is INFINITE_M else tr - fprime(t) ** 2 / m
     return ric
 
 
-def _interval_verdict(traj, t1, upper, report, hypothesis_ok, tol=1e-6):
-    lo, hi = (min(t1, upper) - tol, max(t1, upper) + tol)
+def _predicted_end(t1, theta1, width):
+    """t1 - width/theta1: where the focusing bound places the last zero."""
+    if abs(theta1) < 1e-12:
+        raise InvalidInitialData("the expansion theta_f(t1) must be nonzero")
+    return t1 - width / theta1
+
+
+def _interval_verdict(traj, t1, upper, hypotheses, tol=1e-6):
+    """Scan traj for det-zeros and judge them against [t1, upper].
+
+    Each hypothesis is a predicate of t that must hold at 64 samples of the
+    predicted interval (clipped to the trajectory) for a verdict to count.
+    """
+    lo, hi = sorted((t1, upper))
+    sample = np.linspace(max(lo, traj.t0), min(hi, traj.t1), 64)
+    hypothesis_ok = all(holds(t) for holds in hypotheses for t in sample)
+    report = detect_conjugate(traj)
+    lo, hi = lo - tol, hi + tol
     report.predicted_interval = (lo, hi)
     report.hypothesis_ok = hypothesis_ok
     inside = [z for z in report.zeros if lo <= z.t <= hi]
@@ -440,20 +451,13 @@ def verify_interval_finite_m(traj: JacobiTrajectory, diag: CongruenceDiagnostics
     on the predicted interval; a failed curvature hypothesis is reported in
     the verdict, not raised.
     """
-    theta1 = diag.theta_f_at(t1)
-    if abs(theta1) < 1e-12:
-        raise InvalidInitialData("theta_f(t1) must be nonzero")
+    m = float(m)
+    upper = _predicted_end(t1, diag.theta_f_at(t1), n + m - 1.0)
     if lagrange_defect(traj, t1) > 1e-9:
         raise InvalidInitialData("trajectory is not a Lagrange tensor")
-    m = float(m)
-    upper = t1 - (n + m - 1.0) / theta1
     ric = ric_fm if ric_fm is not None else _ric_fm_from_trace(
-        traj, lambda t: np.interp(t, diag.ts, diag.fprime), m, traj.k)
-    lo, hi = sorted((t1, upper))
-    sample = np.linspace(max(lo, traj.t0), min(hi, traj.t1), 64)
-    hypothesis_ok = all(ric(t) >= -1e-9 for t in sample)
-    report = detect_conjugate(traj)
-    return _interval_verdict(traj, t1, upper, report, hypothesis_ok, tol)
+        traj, m, lambda t: np.interp(t, diag.ts, diag.fprime))
+    return _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9], tol)
 
 
 def verify_interval_infinite(traj: JacobiTrajectory, diag: CongruenceDiagnostics,
@@ -465,21 +469,14 @@ def verify_interval_infinite(traj: JacobiTrajectory, diag: CongruenceDiagnostics
     is checked there as well.
     """
     theta1 = diag.theta_f_at(t1)
-    if abs(theta1) < 1e-12:
-        raise InvalidInitialData("theta_f(t1) must be nonzero")
     f_at = (lambda t: 0.0) if f_values is None else (
         f_values if callable(f_values)
         else (lambda t: float(np.interp(t, diag.ts, np.asarray(f_values)))))
-    sigma = (n - 1.0 + 2.0 * k_bound - 2.0 * f_at(t1)) / theta1
-    upper = t1 - sigma
-    lo, hi = sorted((t1, upper))
-    sample = np.linspace(max(lo, traj.t0), min(hi, traj.t1), 64)
-    bound_ok = all(f_at(t) <= k_bound + 1e-9 for t in sample)
-    ric = ric_f if ric_f is not None else _ric_fm_from_trace(
-        traj, lambda t: np.interp(t, diag.ts, diag.fprime), INFINITE_M, traj.k)
-    curv_ok = all(ric(t) >= -1e-9 for t in sample)
-    report = detect_conjugate(traj)
-    return _interval_verdict(traj, t1, upper, report, bound_ok and curv_ok, tol)
+    upper = _predicted_end(t1, theta1, n - 1.0 + 2.0 * k_bound - 2.0 * f_at(t1))
+    ric = ric_f if ric_f is not None else _ric_fm_from_trace(traj, INFINITE_M)
+    return _interval_verdict(
+        traj, t1, upper,
+        [lambda t: f_at(t) <= k_bound + 1e-9, lambda t: ric(t) >= -1e-9], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +492,7 @@ def _fundamental_solutions(R_source, k, t1, s, rtol, atol):
     return U, V
 
 
-def boundary_jacobi(R_source, t1, s, k=None, value_start=None,
+def boundary_jacobi(R_source, t1, s, k=None,
                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiTrajectory:
     """Unique tensor D_s with D_s(t1) = E and D_s(s) = 0, by linear shooting.
 
@@ -504,13 +501,7 @@ def boundary_jacobi(R_source, t1, s, k=None, value_start=None,
     t1, which raises ConjugatePointInRange.
     """
     if k is None:
-        if isinstance(R_source, EndomorphismSeries):
-            k = R_source.dim
-        else:
-            probe = np.asarray(R_source(t1) if callable(R_source) else R_source,
-                               dtype=float)
-            k = probe.shape[0] if probe.ndim == 2 else int(probe)
-    value_start = np.eye(k) if value_start is None else np.asarray(value_start)
+        k = _matrix_size(R_source, t1)
     U, V = _fundamental_solutions(R_source, k, t1, s, rtol, atol)
     interior = detect_conjugate(V)
     strictly_inside = [z for z in interior.zeros if z.t < s - 1e-9]
@@ -519,8 +510,8 @@ def boundary_jacobi(R_source, t1, s, k=None, value_start=None,
     if strictly_inside or sv[-1] < 1e-10 * max(sv[0], 1.0):
         raise ConjugatePointInRange(
             f"conjugate point in ({t1}, {s}]; shooting matrix is singular")
-    Dp0 = -np.linalg.solve(Vs, U.A(s)) @ value_start
-    D = integrate_jacobi(R_source, value_start, Dp0, (t1, s), rtol=rtol, atol=atol)
+    Dp0 = -np.linalg.solve(Vs, U.A(s))
+    D = integrate_jacobi(R_source, np.eye(k), Dp0, (t1, s), rtol=rtol, atol=atol)
     end_residual = float(np.max(np.abs(D.A(s))))
     if end_residual > 1e-8:
         raise ConjugatePointInRange(
@@ -572,13 +563,8 @@ def asymptotic_lagrange(R_source, t1, s_list, eval_ts,
     """
     s_list = sorted(float(s) for s in s_list)
     eval_ts = np.asarray(eval_ts, dtype=float)
-    if isinstance(R_source, EndomorphismSeries):
-        k = R_source.dim
-    else:
-        probe = np.asarray(R_source(t1) if callable(R_source) else R_source,
-                           dtype=float)
-        k = probe.shape[0]
-    U, V = _fundamental_solutions(R_source, k, t1, s_list[-1], rtol, atol)
+    U, V = _fundamental_solutions(R_source, _matrix_size(R_source, t1), t1,
+                                  s_list[-1], rtol, atol)
 
     values = {}
     for s in s_list:
@@ -625,9 +611,7 @@ def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None,
     converging side.
     """
     k = n - 2
-    if abs(theta1) < 1e-12:
-        raise InvalidInitialData("theta1 must be nonzero")
-    upper = t1 - (n - 2.0) / theta1
+    upper = _predicted_end(t1, theta1, n - 2.0)
     if span is None:
         pad = 1.5 * abs(upper - t1)
         span = (t1, t1 + pad) if theta1 < 0 else (t1, t1 - pad)
@@ -635,80 +619,7 @@ def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None,
     A0p = (theta1 / k) * np.eye(k)
     traj = integrate_jacobi(rbar_source, A0, A0p, span, rtol=rtol, atol=atol)
     diag = kinematics(traj, fprime=fprime)
-    ric = _ric_fm_from_trace(traj, fprime, INFINITE_M, k)
-    lo, hi = sorted((t1, upper))
-    sample = np.linspace(max(lo, traj.t0), min(hi, traj.t1), 64)
-    hypothesis_ok = all(ric(t) >= -1e-9 for t in sample)
-    report = detect_conjugate(traj)
-    report = _interval_verdict(traj, t1, upper, report, hypothesis_ok, tol)
+    ric = _ric_fm_from_trace(traj, INFINITE_M)
+    report = _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9], tol)
     report.theta1 = float(diag.theta_f[0]) if diag.mask[0] else theta1
     return report
-
-
-# ---------------------------------------------------------------------------
-# hypersurface mean-curvature evolution
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NormalCongruenceSpec:
-    """One normal geodesic of a spacelike hypersurface.
-
-    base_point lies on the hypersurface, normal is the future unit normal
-    there, and shape_operator is the matrix of grad N on the tangent space in
-    the parallel frame (sign convention H = div N = tr shape_operator).
-    """
-
-    base_point: np.ndarray
-    normal: np.ndarray
-    shape_operator: np.ndarray
-    span: tuple
-    label: str = ""
-
-
-@dataclass
-class MeanCurvatureReport:
-    ts: np.ndarray
-    H_f: np.ndarray
-    residual: np.ndarray
-    max_residual: float
-    diagnostics: CongruenceDiagnostics | None = None
-
-
-def mean_curvature_evolution(g: MetricField, f: ScalarField,
-                             spec: NormalCongruenceSpec,
-                             rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                             grid_n=801) -> MeanCurvatureReport:
-    """Residual of dH_f/dt = -Ric(N,N) - Hess f(N,N) - |grad N|^2.
-
-    The normal congruence is the Jacobi flow with A(0) = E and A'(0) equal to
-    the initial shape operator; H_f(t) = tr(A' A^{-1}) - <grad f, N> along
-    each normal geodesic, differentiated by the uniform-grid stencil.
-    """
-    geo = integrate_geodesic(g, spec.base_point, spec.normal, spec.span,
-                             rtol=rtol, atol=atol)
-    frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    series = endomorphism_series(g, geo, frame, f=f)
-    traj = integrate_jacobi(series, np.eye(frame.k),
-                            np.asarray(spec.shape_operator, dtype=float),
-                            geo.span, rtol=rtol, atol=atol)
-    ts = uniform_grid(geo.t0, geo.t1, n=grid_n)
-    diag = kinematics(
-        traj, ts=ts,
-        fprime=lambda t: float(f.gradient(geo.point(t)) @ geo.velocity(t)))
-
-    H_f = diag.theta_f
-    t_in, dH = stencil_derivative(ts, H_f)
-    sel = slice(2, -2)
-    rhs = np.empty(len(t_in))
-    for i, t in enumerate(t_in):
-        p = geo.point(t)
-        v = geo.velocity(t)
-        ricNN = float(v @ manifold.ricci(g, p) @ v)
-        hessNN = float(v @ manifold.hessian_scalar(g, f, p) @ v)
-        A = traj.A(t)
-        B = traj.Aprime(t) @ np.linalg.inv(A)
-        rhs[i] = -ricNN - hessNN - float(np.sum(B * B))
-    residual = np.where(diag.mask[sel], dH - rhs, np.nan)
-    return MeanCurvatureReport(ts=t_in, H_f=H_f[sel], residual=residual,
-                               max_residual=float(np.nanmax(np.abs(residual))),
-                               diagnostics=diag)

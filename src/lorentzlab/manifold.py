@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,12 +67,6 @@ class BakryEmeryParams:
         if self.k is None:
             raise ValueError("an upper bound k for f is required when m is infinite")
         return float(self.k)
-
-
-@dataclass(frozen=True)
-class PointVector:
-    point: np.ndarray
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,51 +121,19 @@ class MetricField:
 
     # -- derivatives -----------------------------------------------------
 
-    def _fd_steps(self, p, widen: bool = False):
-        h0 = math.sqrt(self.fd_step) if widen else self.fd_step
-        return h0 * np.maximum(1.0, np.abs(p))
-
     def first_derivatives(self, p) -> np.ndarray:
         """dg[c, a, b] = d_c g_ab."""
         p = np.asarray(p, dtype=float)
         if self.d_matrix is not None:
             return np.asarray(self.d_matrix(p), dtype=float)
-        n = self.dim
-        h = self._fd_steps(p)
-        dg = np.empty((n, n, n))
-        for c in range(n):
-            dp = np.zeros(n)
-            dp[c] = h[c]
-            dg[c] = (np.asarray(self.matrix(p + dp)) -
-                     np.asarray(self.matrix(p - dp))) / (2.0 * h[c])
-        return dg
+        return _central_differences(self.matrix, p, self.fd_step)
 
     def second_derivatives(self, p) -> np.ndarray:
         """ddg[c, d, a, b] = d_c d_d g_ab."""
         p = np.asarray(p, dtype=float)
         if self.dd_matrix is not None:
             return np.asarray(self.dd_matrix(p), dtype=float)
-        n = self.dim
-        h = self._fd_steps(p, widen=True)
-        g0 = np.asarray(self.matrix(p), dtype=float)
-        ddg = np.empty((n, n, n, n))
-        for c in range(n):
-            ec = np.zeros(n)
-            ec[c] = h[c]
-            gp = np.asarray(self.matrix(p + ec), dtype=float)
-            gm = np.asarray(self.matrix(p - ec), dtype=float)
-            ddg[c, c] = (gp - 2.0 * g0 + gm) / h[c] ** 2
-            for d in range(c + 1, n):
-                ed = np.zeros(n)
-                ed[d] = h[d]
-                gpp = np.asarray(self.matrix(p + ec + ed), dtype=float)
-                gpm = np.asarray(self.matrix(p + ec - ed), dtype=float)
-                gmp = np.asarray(self.matrix(p - ec + ed), dtype=float)
-                gmm = np.asarray(self.matrix(p - ec - ed), dtype=float)
-                mixed = (gpp - gpm - gmp + gmm) / (4.0 * h[c] * h[d])
-                ddg[c, d] = mixed
-                ddg[d, c] = mixed
-        return ddg
+        return _central_differences(self.matrix, p, self.fd_step, second=True)
 
     def inner(self, p, v, w) -> float:
         g = self.at(p)
@@ -199,37 +161,41 @@ class ScalarField:
         p = np.asarray(p, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(p), dtype=float)
-        n = p.shape[0]
-        h = self.fd_step * np.maximum(1.0, np.abs(p))
-        out = np.empty(n)
-        for c in range(n):
-            dp = np.zeros(n)
-            dp[c] = h[c]
-            out[c] = (self.value(p + dp) - self.value(p - dp)) / (2.0 * h[c])
-        return out
+        return _central_differences(self.value, p, self.fd_step)
 
     def coordinate_hessian(self, p) -> np.ndarray:
         """Plain second partials d_a d_b f (no connection term)."""
         p = np.asarray(p, dtype=float)
         if self.hess is not None:
             return np.asarray(self.hess(p), dtype=float)
-        n = p.shape[0]
-        h = math.sqrt(self.fd_step) * np.maximum(1.0, np.abs(p))
-        f0 = self.value(p)
-        out = np.empty((n, n))
-        for c in range(n):
-            ec = np.zeros(n)
-            ec[c] = h[c]
-            out[c, c] = (self.value(p + ec) - 2.0 * f0 + self.value(p - ec)) / h[c] ** 2
-            for d in range(c + 1, n):
-                ed = np.zeros(n)
-                ed[d] = h[d]
-                mixed = (self.value(p + ec + ed) - self.value(p + ec - ed)
-                         - self.value(p - ec + ed) + self.value(p - ec - ed)) \
-                    / (4.0 * h[c] * h[d])
-                out[c, d] = mixed
-                out[d, c] = mixed
-        return out
+        return _central_differences(self.value, p, self.fd_step, second=True)
+
+
+def _central_differences(fn, p, step, second=False) -> np.ndarray:
+    """d_c fn(p), or d_c d_d fn(p) when second is set, derivative indices
+    first, by central differences with the steps of the module docstring."""
+    n = len(p)
+    h = (math.sqrt(step) if second else step) * np.maximum(1.0, np.abs(p))
+    shifts = np.diag(h)
+
+    def ev(x):
+        v = fn(x)  # scalar weights stay floats: 0-d array arithmetic is slow
+        return v if isinstance(v, float) else np.asarray(v, dtype=float)
+
+    if not second:
+        return np.array([(ev(p + shifts[c]) - ev(p - shifts[c])) / (2.0 * h[c])
+                         for c in range(n)])
+    f0 = ev(p)
+    out = np.empty((n, n) + np.shape(f0))
+    for c in range(n):
+        ec = shifts[c]
+        out[c, c] = (ev(p + ec) - 2.0 * f0 + ev(p - ec)) / h[c] ** 2
+        for d in range(c + 1, n):
+            ed = shifts[d]
+            out[c, d] = out[d, c] = (
+                ev(p + ec + ed) - ev(p + ec - ed) - ev(p - ec + ed)
+                + ev(p - ec - ed)) / (4.0 * h[c] * h[d])
+    return out
 
 
 def constant_scalar(c: float = 0.0) -> ScalarField:
@@ -247,17 +213,21 @@ def constant_scalar(c: float = 0.0) -> ScalarField:
 # pointwise operations
 # ---------------------------------------------------------------------------
 
-def _christoffel_core(ginv, dg):
-    # d_b g_dc + d_c g_db - d_d g_bc
-    bracket = (np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg)
-               - np.einsum("dbc->dbc", dg))
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
+def _bracket(dg):
+    # d_b g_dc + d_c g_db - d_d g_bc on the last three indices of dg
+    return (np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg)
+            - dg)
+
+
+def _christoffel_core(ginv, bracket):
+    # Gamma^a_bc = g^ad bracket_dbc / 2, after any leading derivative index
+    return 0.5 * np.einsum("ad,...dbc->...abc", ginv, bracket)
 
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Levi-Civita symbols Gamma[a, b, c] = Gamma^a_{bc}."""
     p = np.asarray(p, dtype=float)
-    return _christoffel_core(g.inverse_at(p), g.first_derivatives(p))
+    return _christoffel_core(g.inverse_at(p), _bracket(g.first_derivatives(p)))
 
 
 def christoffel_unchecked(g: MetricField, p) -> np.ndarray:
@@ -269,24 +239,19 @@ def christoffel_unchecked(g: MetricField, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     m = np.asarray(g.matrix(p), dtype=float)
     return _christoffel_core(np.linalg.inv(0.5 * (m + m.T)),
-                             g.first_derivatives(p))
+                             _bracket(g.first_derivatives(p)))
 
 
 def _christoffel_and_derivative(g: MetricField, p):
     p = np.asarray(p, dtype=float)
     ginv = g.inverse_at(p)
     dg = g.first_derivatives(p)
-    ddg = g.second_derivatives(p)
-    bracket = (np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg)
-               - np.einsum("dbc->dbc", dg))
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, bracket)
+    bracket = _bracket(dg)
     # d_e g^{ad} = -g^{af} (d_e g_fh) g^{hd}
     dginv = -np.einsum("af,efh,hd->ead", ginv, dg, ginv)
-    dbracket = (np.einsum("ebdc->edbc", ddg) + np.einsum("ecdb->edbc", ddg)
-                - np.einsum("edbc->edbc", ddg))
     dgamma = (0.5 * np.einsum("ead,dbc->eabc", dginv, bracket)
-              + 0.5 * np.einsum("ad,edbc->eabc", ginv, dbracket))
-    return gamma, dgamma
+              + _christoffel_core(ginv, _bracket(g.second_derivatives(p))))
+    return _christoffel_core(ginv, bracket), dgamma
 
 
 def riemann(g: MetricField, p) -> np.ndarray:
@@ -330,11 +295,6 @@ def bakry_emery_ricci(g: MetricField, f: ScalarField, params: BakryEmeryParams,
         df = f.gradient(p)
         out -= float(df @ v) * float(df @ w) / params.m
     return out
-
-
-def gradient_vector(g: MetricField, f: ScalarField, p) -> np.ndarray:
-    """Contravariant gradient (nabla f)^a = g^{ab} d_b f."""
-    return g.inverse_at(p) @ f.gradient(p)
 
 
 def causal_character(g: MetricField, p, v, eps_null: float = 1e-9) -> str:

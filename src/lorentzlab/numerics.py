@@ -11,21 +11,13 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 
 
-def ode_solve(rhs, span, y0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=None,
-              max_step=np.inf):
+def ode_solve(rhs, span, y0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=None):
     """Adaptive RK45 solve with dense output; raises on solver failure."""
     sol = solve_ivp(rhs, span, np.asarray(y0, dtype=float), method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True, events=events,
-                    max_step=max_step)
+                    rtol=rtol, atol=atol, dense_output=True, events=events)
     if sol.status == -1:
         raise IntegratorFailure(sol.message)
     return sol
-
-
-def uniform_grid(a, b, h=None, n=None):
-    if n is None:
-        n = max(int(round(abs(b - a) / h)) + 1, 5)
-    return np.linspace(a, b, n)
 
 
 def stencil_derivative(ts, ys):

@@ -1,4 +1,5 @@
-"""End-to-end congruence runs: metric -> geodesic -> frame -> R(t) -> Jacobi."""
+"""End-to-end congruence runs: metric -> geodesic -> frame -> R(t) -> Jacobi,
+and the hypersurface mean-curvature evolution built on them."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
                          endomorphism_series, integrate_geodesic, parallel_frame)
 from .jacobi import (CongruenceDiagnostics, JacobiTrajectory, integrate_jacobi,
                      kinematics)
-from .manifold import MetricField, ScalarField, bakry_emery_ricci
-from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, uniform_grid
+from .manifold import (MetricField, ScalarField, bakry_emery_ricci,
+                       hessian_scalar, ricci)
+from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, stencil_derivative
 
 
 @dataclass
@@ -46,19 +48,17 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
     frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
     series = endomorphism_series(g, geo, frame, f=f)
     k = frame.k
-    jspan = jacobi_span or geo.span
     if jacobi_init is None:
         A0, A0p = np.zeros((k, k)), np.eye(k)
     else:
         A0, A0p = jacobi_init
-    traj = integrate_jacobi(series, A0, A0p, jspan, rtol=rtol, atol=atol)
-    if diag_ts is None:
-        diag_ts = uniform_grid(jspan[0], jspan[1], n=diag_n)
     # exact pointwise (f o c)' rather than the series spline: spline error in
     # steep weights would otherwise dominate the residual diagnostics
     fprime = None if f is None else (
         lambda t: float(f.gradient(geo.point(t)) @ geo.velocity(t)))
-    diag = kinematics(traj, fprime=fprime, ts=diag_ts)
+    traj, diag = run_synthetic_congruence(
+        series, k, A0, A0p, jacobi_span or geo.span, fprime=fprime,
+        diag_ts=diag_ts, rtol=rtol, atol=atol, diag_n=diag_n)
     return CongruenceRun(geodesic=geo, frame=frame, series=series,
                          trajectory=traj, diagnostics=diag)
 
@@ -69,6 +69,67 @@ def run_synthetic_congruence(R_source, k, A0, A0p, span, fprime=None,
     """Prescribed-curvature congruence: returns (trajectory, diagnostics)."""
     traj = integrate_jacobi(R_source, A0, A0p, span, rtol=rtol, atol=atol)
     if diag_ts is None:
-        diag_ts = uniform_grid(span[0], span[1], n=diag_n)
+        diag_ts = np.linspace(span[0], span[1], diag_n)
     diag = kinematics(traj, fprime=fprime, ts=diag_ts)
     return traj, diag
+
+
+# ---------------------------------------------------------------------------
+# hypersurface mean-curvature evolution
+# ---------------------------------------------------------------------------
+
+@dataclass
+class NormalCongruenceSpec:
+    """One normal geodesic of a spacelike hypersurface.
+
+    base_point lies on the hypersurface, normal is the future unit normal
+    there, and shape_operator is the matrix of grad N on the tangent space in
+    the parallel frame (sign convention H = div N = tr shape_operator).
+    """
+
+    base_point: np.ndarray
+    normal: np.ndarray
+    shape_operator: np.ndarray
+    span: tuple
+    label: str = ""
+
+
+@dataclass
+class MeanCurvatureReport:
+    ts: np.ndarray
+    H_f: np.ndarray
+    residual: np.ndarray
+    max_residual: float
+    diagnostics: CongruenceDiagnostics | None = None
+
+
+def mean_curvature_evolution(g: MetricField, f: ScalarField,
+                             spec: NormalCongruenceSpec,
+                             rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> MeanCurvatureReport:
+    """Residual of dH_f/dt = -Ric(N,N) - Hess f(N,N) - |grad N|^2.
+
+    The normal congruence is the Jacobi flow with A(0) = E and A'(0) equal to
+    the initial shape operator; H_f(t) = tr(A' A^{-1}) - <grad f, N> along
+    each normal geodesic, differentiated by the uniform-grid stencil.
+    """
+    shape = np.asarray(spec.shape_operator, dtype=float)
+    run = run_point_congruence(g, spec.base_point, spec.normal, spec.span, f=f,
+                               jacobi_init=(np.eye(len(shape)), shape),
+                               rtol=rtol, atol=atol)
+    geo, traj, diag = run.geodesic, run.trajectory, run.diagnostics
+    H_f = diag.theta_f
+    t_in, dH = stencil_derivative(diag.ts, H_f)
+    sel = slice(2, -2)
+    rhs = np.empty(len(t_in))
+    for i, t in enumerate(t_in):
+        p = geo.point(t)
+        v = geo.velocity(t)
+        ricNN = float(v @ ricci(g, p) @ v)
+        hessNN = float(v @ hessian_scalar(g, f, p) @ v)
+        A = traj.A(t)
+        B = traj.Aprime(t) @ np.linalg.inv(A)
+        rhs[i] = -ricNN - hessNN - float(np.sum(B * B))
+    residual = np.where(diag.mask[sel], dH - rhs, np.nan)
+    return MeanCurvatureReport(ts=t_in, H_f=H_f[sel], residual=residual,
+                               max_residual=float(np.nanmax(np.abs(residual))),
+                               diagnostics=diag)

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lorentzlab import cli
 from lorentzlab.cli import (CHECKS, CSV_COLUMNS, load_config_source, main,
                             parse_config, run)
 from lorentzlab.errors import ParseError, ValidationError
@@ -140,3 +142,43 @@ def test_main_run_with_overrides(tmp_path, capsys):
     report = (tmp_path / "o" / "report.txt").read_text()
     assert '"seed": 11' in report and "0.0001" in report
     assert main(["run", "no_such_config", "--out", str(tmp_path)]) == 2
+
+
+def test_each_run_builds_its_own_congruences(tmp_path, monkeypatch):
+    built = []
+    build = cli.run_point_congruence
+
+    def counting(*args, **kwargs):
+        built.append(args[:3])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_point_congruence", counting)
+    cfg = parse_config(json.dumps({
+        "scenario": "minkowski4", "out_dir": str(tmp_path),
+        "checks": ["raychaudhuri_residual", "lagrange_conservation"]}))
+    assert run(cfg) == 0
+    assert len(built) == 1  # shared by the checks of one run
+    assert run(cfg) == 0
+    assert len(built) == 2
+
+
+def _schwarz(seed):
+    cfg = parse_config(json.dumps({"scenario": "minkowski4", "seed": seed}))
+    return CHECKS["schwarz_gap"](None, cfg, {})
+
+
+def test_schwarz_check_passes_for_every_seed():
+    # equality cases with m near its floor make theta ~ 1e8; the gap is
+    # judged relative to the squared size of its terms
+    failing = [seed for seed in range(100) if _schwarz(seed).status != "PASS"]
+    assert failing == []
+
+
+def test_schwarz_check_fails_for_wrong_denominator(monkeypatch):
+    def wrong_gap(theta, fprime, n, m):
+        lhs = theta ** 2 / (n - 1.0) + fprime ** 2 / m
+        rhs = (np.abs(theta) + np.abs(fprime)) ** 2 / (n + m)
+        return lhs, rhs, lhs - rhs
+
+    monkeypatch.setattr(cli, "schwarz_gap", wrong_gap)
+    assert _schwarz(20240).status == "FAIL"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzlab import (integrate_geodesic, integrate_jacobi, kinematics,
-                        modified_endomorphism, parallel_frame,
+                        minkowski, modified_endomorphism, parallel_frame,
                         raychaudhuri_residual)
 from lorentzlab.congruence import _gram_schmidt_spacelike
 from lorentzlab.errors import FrameDegeneracy, InsufficientSamples
@@ -45,3 +45,12 @@ def test_null_kinematics_expansion(mink4):
     ts = np.linspace(0.5, 6.0, 201)
     diag = kinematics(traj, ts=ts, n=4)
     assert np.max(np.abs(diag.theta_f - 2.0 / ts)) < 1e-10
+
+
+def test_null_frame_in_two_dimensions_is_typed_error():
+    # the null quotient bundle of a 2-dimensional spacetime is empty
+    mink2 = minkowski(2)
+    assert [s.label for s in mink2.geodesics] == ["comoving"]
+    geo = integrate_geodesic(mink2.metric, np.zeros(2), [1.0, 1.0], (0.0, 5.0))
+    with pytest.raises(FrameDegeneracy):
+        parallel_frame(mink2.metric, geo)

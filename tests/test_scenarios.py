@@ -30,6 +30,51 @@ def test_de_sitter_agrees_with_generic_warped_product(ds4):
                              - riemann(generic.metric, p))) < 1e-8
 
 
+def _symbolic_warped_metric(n, warp, radius):
+    """matrix, d_matrix, dd_matrix of -dt^2 + (radius w(t))^2 h, derived by
+    sympy and compiled to numpy (derivative indices first)."""
+    sp = pytest.importorskip("sympy")
+    x = sp.symbols(f"x0:{n}")
+    t = x[0]
+    w = {"one": sp.Integer(1), "cosh": sp.cosh(t), "sech": 1 / sp.cosh(t),
+         "two_plus_cos": 2 + sp.cos(t)}[warp]
+    diag = [-sp.Integer(1)]
+    h = sp.Integer(1)
+    for i in range(1, n):
+        diag.append((radius * w) ** 2 * h)
+        h = h * sp.sin(x[i]) ** 2
+    g = sp.diag(*diag)
+    dg = [[[sp.diff(g[a, b], x[c]) for b in range(n)] for a in range(n)]
+          for c in range(n)]
+    ddg = [[[[sp.diff(g[a, b], x[c], x[d]) for b in range(n)] for a in range(n)]
+            for d in range(n)] for c in range(n)]
+    return tuple(sp.lambdify([x], expr, "numpy") for expr in (g, dg, ddg))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("warp", ["one", "cosh", "sech", "two_plus_cos"])
+def test_warped_metric_derivatives_match_symbolic_oracle(warp, n):
+    from lorentzlab.scenarios import WARPS
+    assert warp in WARPS
+    lam = 1.5
+    cases = [(warped_product(warp, lam, n).metric,
+              _symbolic_warped_metric(n, warp, math.sqrt((n - 2) / lam)))]
+    if warp == "cosh":
+        cases.append((de_sitter(n).metric, _symbolic_warped_metric(n, warp, 1)))
+    rng = np.random.default_rng(1000 * n + len(warp))
+    for _ in range(12):
+        p = np.concatenate([[rng.uniform(-1.5, 1.5)],
+                            rng.uniform(0.4, math.pi - 0.4, n - 2),
+                            [rng.uniform(0.0, 2.0 * math.pi)]])
+        for metric, oracle in cases:
+            for cb, sym in zip((metric.matrix, metric.d_matrix,
+                                metric.dd_matrix), oracle):
+                exact = np.asarray(sym(p), dtype=float)
+                err = np.max(np.abs(np.asarray(cb(p)) - exact))
+                assert err <= 1e-12 * max(1.0, np.max(np.abs(exact))), \
+                    (metric.name, cb.__name__, p, err)
+
+
 def test_generic_warp_cross_checked_against_finite_differences():
     # sech-warped product (not Einstein): analytic callbacks vs pure FD
     scen = warped_product("sech", 2.0, 4, name="sech_warp")
