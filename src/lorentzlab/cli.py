@@ -73,9 +73,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError(["top level must be an object"])
     known_keys = {"scenario", "checks", "seed", "tolerances", "samples", "out_dir"}
-    for key in raw:
-        if key not in known_keys:
-            violations.append(f"unknown field {key!r}")
+    violations += [f"unknown field {key!r}" for key in raw if key not in known_keys]
     scenario = raw.get("scenario")
     if scenario is None:
         violations.append("missing required field 'scenario'")
@@ -90,37 +88,29 @@ def parse_config(text: str) -> RunConfig:
         if checks not in ("default", "all"):
             violations.append(f"unknown checks keyword {checks!r}")
     elif isinstance(checks, list):
-        for c in checks:
-            if c not in CHECKS:
-                violations.append(f"unknown check identifier {c!r}")
+        violations += [f"unknown check identifier {c!r}" for c in checks
+                       if c not in CHECKS]
     else:
         violations.append("'checks' must be a list or 'default'/'all'")
 
-    tol = dict(DEFAULTS["tolerances"])
-    tol.update(raw.get("tolerances", {}))
-    for key, val in tol.items():
-        if not isinstance(val, (int, float)) or val <= 0:
-            violations.append(f"tolerance {key!r} must be positive")
-    samples = dict(DEFAULTS["samples"])
-    samples.update(raw.get("samples", {}))
-    if samples["n_timelike"] < 1:
-        violations.append("samples.n_timelike must be >= 1")
-    if samples["chi_max"] <= 0:
+    # JSON numbers only: bools are ints to Python, and counts take no floats
+    tol = {**DEFAULTS["tolerances"], **raw.get("tolerances", {})}
+    violations += [f"tolerance {key!r} must be positive" for key, val in tol.items()
+                   if type(val) not in (int, float) or val <= 0]
+    samples = {**DEFAULTS["samples"], **raw.get("samples", {})}
+    if type(samples["n_timelike"]) is not int or samples["n_timelike"] < 1:
+        violations.append("samples.n_timelike must be an integer >= 1")
+    if type(samples["chi_max"]) not in (int, float) or samples["chi_max"] <= 0:
         violations.append("samples.chi_max must be positive")
     seed = raw.get("seed", DEFAULTS["seed"])
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         violations.append("seed must be a nonnegative integer")
     if violations:
         raise ValidationError(violations)
 
-    echo = {
-        "scenario": scenario,
-        "checks": checks,
-        "seed": seed,
-        "tolerances": tol,
-        "samples": samples,
-        "out_dir": raw.get("out_dir", DEFAULTS["out_dir"]),
-    }
+    echo = {"scenario": scenario, "checks": checks, "seed": seed,
+            "tolerances": tol, "samples": samples,
+            "out_dir": raw.get("out_dir", DEFAULTS["out_dir"])}
     return RunConfig(
         scenario_source=scenario, checks=checks, seed=seed,
         rtol=float(tol["rtol"]), atol=float(tol["atol"]),
@@ -132,6 +122,29 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # check runners
 # ---------------------------------------------------------------------------
+
+TAGS = {
+    "metric_invariants": "identity: curvature tensor symmetries",
+    "raychaudhuri_residual": "identity: weighted Raychaudhuri equation",
+    "lagrange_conservation": "identity: Lagrange self-adjointness conservation",
+    "trace_identity": "identity: trace of the weighted endomorphism",
+    "check_timelike_convergence":
+        "certificate: weighted timelike convergence condition",
+    "check_f_generic": "certificate: weighted generic condition",
+    "schwarz_gap": "inequality: trace-splitting bound",
+    "f_laplacian_bounds": "inequality: weighted distance-Laplacian bounds",
+    "mean_curvature_evolution": "identity: normal mean-curvature evolution",
+    "conjugate_points": "derived: conjugate-point detection",
+    "certify_weighted_de_sitter":
+        "certificate: weighted convergence certification",
+}
+
+
+def _result(name, ok, summary, series=None) -> CheckResult:
+    """The check's result; ok is a verdict, or a status such as "SKIP"."""
+    status = ok if isinstance(ok, str) else ("PASS" if ok else "FAIL")
+    return CheckResult(name, status, summary, TAGS[name], series or {})
+
 
 def _fmt(x):
     return repr(float(x))
@@ -151,36 +164,26 @@ def _diag_series(diag, residual_ts=None, residual=None):
 
 
 def _sample_points(scen: Scenario, count=9):
-    pts = []
-    for spec in scen.geodesics:
-        if spec.character != "timelike":
-            continue
-        a, b = spec.span
-        for t in np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), count):
-            frac = (t - spec.span[0])
-            pts.append(np.asarray(spec.p0, dtype=float)
-                       + frac * np.asarray(spec.v0, dtype=float))
-        break
-    return np.array(pts) if pts else np.atleast_2d(scen.geodesics[0].p0)
+    spec = next((s for s in scen.geodesics if s.character == "timelike"), None)
+    if spec is None:
+        return np.atleast_2d(scen.geodesics[0].p0)
+    a, b = spec.span
+    p0, v0 = np.asarray(spec.p0, dtype=float), np.asarray(spec.v0, dtype=float)
+    return np.array([p0 + (t - a) * v0 for t in
+                     np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), count)])
 
 
 def check_metric_invariants(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     scen.validate()
-    worst = 0.0
-    for spec in scen.geodesics[:1]:
-        p = np.asarray(spec.p0, dtype=float)
-        R = riemann_lowered(scen.metric, p)
-        worst = max(worst,
-                    float(np.max(np.abs(R + np.swapaxes(R, 2, 3)))),
-                    float(np.max(np.abs(R + np.swapaxes(R, 0, 1)))),
-                    float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))),
-                    float(np.max(np.abs(R + np.transpose(R, (0, 2, 3, 1))
-                                        + np.transpose(R, (0, 3, 1, 2))))))
+    R = riemann_lowered(scen.metric, np.asarray(scen.geodesics[0].p0, dtype=float))
+    worst = max(float(np.max(np.abs(R + np.swapaxes(R, 2, 3)))),
+                float(np.max(np.abs(R + np.swapaxes(R, 0, 1)))),
+                float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))),
+                float(np.max(np.abs(R + np.transpose(R, (0, 2, 3, 1))
+                                    + np.transpose(R, (0, 3, 1, 2))))))
     tol = 1e-7 if scen.metric.d_matrix is not None else 1e-4
-    ok = worst <= tol
-    return CheckResult("metric_invariants", "PASS" if ok else "FAIL",
-                       f"max curvature-symmetry residual {worst:.3e} (tol {tol:g})",
-                       "identity: curvature tensor symmetries")
+    return _result("metric_invariants", worst <= tol,
+                   f"max curvature-symmetry residual {worst:.3e} (tol {tol:g})")
 
 
 def _comoving_run(scen: Scenario, cfg: RunConfig, runs, label=None):
@@ -201,12 +204,10 @@ def check_raychaudhuri(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     spec, run = _comoving_run(scen, cfg, runs)
     ric = run.ric_fm_series(scen.metric, scen.weight, scen.params)
     report = raychaudhuri_residual(run.diagnostics, ric, scen.params.m)
-    ok = report.max_residual <= cfg.residual_tol
     series = {spec.label: _diag_series(run.diagnostics, report.ts, report.residual)}
-    return CheckResult("raychaudhuri_residual", "PASS" if ok else "FAIL",
-                       f"max |residual| {report.max_residual:.3e} "
-                       f"(tol {cfg.residual_tol:g})",
-                       "identity: weighted Raychaudhuri equation", series)
+    return _result("raychaudhuri_residual", report.max_residual <= cfg.residual_tol,
+                   f"max |residual| {report.max_residual:.3e} "
+                   f"(tol {cfg.residual_tol:g})", series)
 
 
 def check_lagrange(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
@@ -215,10 +216,8 @@ def check_lagrange(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     defects = [jacobi.lagrange_defect(traj, t)
                for t in np.linspace(traj.t0, traj.t1, 101)]
     worst = max(defects)
-    ok = worst <= 1e-8
-    return CheckResult("lagrange_conservation", "PASS" if ok else "FAIL",
-                       f"max defect {worst:.3e} along {spec.label}",
-                       "identity: Lagrange self-adjointness conservation")
+    return _result("lagrange_conservation", worst <= 1e-8,
+                   f"max defect {worst:.3e} along {spec.label}")
 
 
 def check_trace_identity(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
@@ -228,10 +227,8 @@ def check_trace_identity(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     for t in np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 7):
         worst = max(worst, comparison.trace_identity_check(
             scen.metric, scen.weight, scen.params, run.geodesic, run.frame, t))
-    ok = worst <= 1e-6
-    return CheckResult("trace_identity", "PASS" if ok else "FAIL",
-                       f"max residual {worst:.3e} (tol 1e-06)",
-                       "identity: trace of the weighted endomorphism")
+    return _result("trace_identity", worst <= 1e-6,
+                   f"max residual {worst:.3e} (tol 1e-06)")
 
 
 def check_convergence(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
@@ -239,31 +236,24 @@ def check_convergence(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
                       seed=cfg.seed, chi_max=cfg.chi_max)
     report = comparison.check_timelike_convergence(scen.metric, scen.weight,
                                                    scen.params, spec)
-    status = "PASS" if report.passed else "FAIL"
-    return CheckResult("check_timelike_convergence", status,
-                       f"min Ric_f^m(v,v) = {report.min_value:.6g} over "
-                       f"{report.n_samples} samples",
-                       "certificate: weighted timelike convergence condition")
+    return _result("check_timelike_convergence", report.passed,
+                   f"min Ric_f^m(v,v) = {report.min_value:.6g} over "
+                   f"{report.n_samples} samples")
 
 
 def check_f_generic(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     expectations = scen.expectations.get("f_generic", {})
     if not expectations:
-        return CheckResult("check_f_generic", "SKIP", "no expectation declared",
-                           "certificate: weighted generic condition")
-    failures = []
+        return _result("check_f_generic", "SKIP", "no expectation declared")
+    ok = True
     detail = []
     for label, expected in expectations.items():
         spec, run = _comoving_run(scen, cfg, runs, label=label)
         rep = comparison.check_f_generic(scen.metric, scen.weight,
                                          run.geodesic, run.frame)
         detail.append(f"{label}: holds={rep.holds}")
-        if rep.holds != expected:
-            failures.append(label)
-    ok = not failures
-    return CheckResult("check_f_generic", "PASS" if ok else "FAIL",
-                       "; ".join(detail),
-                       "certificate: weighted generic condition")
+        ok = ok and rep.holds == expected
+    return _result("check_f_generic", ok, "; ".join(detail))
 
 
 def check_schwarz(scen: Scenario, cfg: RunConfig, runs,
@@ -284,57 +274,46 @@ def check_schwarz(scen: Scenario, cfg: RunConfig, runs,
     eq_res = schwarz_equality_residual(theta_eq, fp, n, m)
     ok = (min_gap >= -1e-12 and float(np.max(np.abs(gap_eq) / scale)) <= 1e-8
           and float(np.max(eq_res)) <= 1e-8)
-    return CheckResult("schwarz_gap", "PASS" if ok else "FAIL",
-                       f"min gap {min_gap:.3e} over {n_draws} draws; "
-                       f"equality residual {float(np.max(eq_res)):.3e}",
-                       "inequality: trace-splitting bound")
+    return _result("schwarz_gap", ok, f"min gap {min_gap:.3e} over {n_draws} draws; "
+                   f"equality residual {float(np.max(eq_res)):.3e}")
 
 
 def check_f_laplacian(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     meta = scen.expectations.get("f_laplacian")
     if meta is None:
-        return CheckResult("f_laplacian_bounds", "SKIP", "no declared pairs",
-                           "inequality: weighted distance-Laplacian bounds")
+        return _result("f_laplacian_bounds", "SKIP", "no declared pairs")
     n = scen.metric.dim
-    worst = np.inf
-    count = 0
     if meta["mode"] == "flat":
         m = float(meta.get("m", 2.0))
-        apex = np.zeros(n)
-        for rho in meta.get("rhos", (0.5, 1.0, 2.0, 5.0)):
-            q = apex.copy()
-            q[0] = -rho
-            rep = f_laplacian_distance(scen.metric, scen.weight, apex, q, m=m,
-                                       uniqueness=scen.uniqueness,
-                                       rtol=cfg.rtol, atol=cfg.atol)
-            closed = -(n - 1.0) / rho
-            if abs(rep.value - closed) > 1e-8 * max(1.0, abs(closed)):
-                worst = -np.inf
-            worst = min(worst, rep.slack_finite, rep.slack_infinite)
-            count += 1
+        pairs = [(np.zeros(n), -rho)
+                 for rho in meta.get("rhos", (0.5, 1.0, 2.0, 5.0))]
     else:
-        for t_apex in meta["apex_ts"]:
-            for rho in meta["rhos"]:
-                apex = scenarios.equator_point(n, t_apex)
-                q = apex.copy()
-                q[0] = t_apex - rho
-                rep = f_laplacian_distance(scen.metric, scen.weight, apex, q,
-                                           uniqueness=scen.uniqueness,
-                                           rtol=cfg.rtol, atol=cfg.atol)
-                worst = min(worst, rep.slack_infinite)
-                count += 1
-    ok = worst >= -1e-6
-    return CheckResult("f_laplacian_bounds", "PASS" if ok else "FAIL",
-                       f"min bound slack {worst:.3e} over {count} pairs",
-                       "inequality: weighted distance-Laplacian bounds")
+        m = None
+        pairs = [(scenarios.equator_point(n, t_apex), t_apex - rho)
+                 for t_apex in meta["apex_ts"] for rho in meta["rhos"]]
+    worst = np.inf
+    for apex, t_q in pairs:
+        q = apex.copy()
+        q[0] = t_q
+        rep = f_laplacian_distance(scen.metric, scen.weight, apex, q, m=m,
+                                   uniqueness=scen.uniqueness,
+                                   rtol=cfg.rtol, atol=cfg.atol)
+        if m is None:
+            worst = min(worst, rep.slack_infinite)
+            continue
+        closed = -(n - 1.0) / (apex[0] - t_q)
+        if abs(rep.value - closed) > 1e-8 * max(1.0, abs(closed)):
+            worst = -np.inf
+        worst = min(worst, rep.slack_finite, rep.slack_infinite)
+    return _result("f_laplacian_bounds", worst >= -1e-6,
+                   f"min bound slack {worst:.3e} over {len(pairs)} pairs")
 
 
 def check_mean_curvature(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     slices = scen.expectations.get("mean_curvature", [])
     if not slices:
-        return CheckResult("mean_curvature_evolution", "SKIP",
-                           "no declared hypersurface slices",
-                           "identity: normal mean-curvature evolution")
+        return _result("mean_curvature_evolution", "SKIP",
+                       "no declared hypersurface slices")
     worst = 0.0
     series = {}
     for item in slices:
@@ -351,17 +330,14 @@ def check_mean_curvature(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
         worst = max(worst, rep.max_residual)
         series[item["label"]] = _diag_series(rep.diagnostics, rep.ts,
                                              rep.residual)
-    ok = worst <= cfg.residual_tol
-    return CheckResult("mean_curvature_evolution", "PASS" if ok else "FAIL",
-                       f"max residual {worst:.3e} (tol {cfg.residual_tol:g})",
-                       "identity: normal mean-curvature evolution", series)
+    return _result("mean_curvature_evolution", worst <= cfg.residual_tol,
+                   f"max residual {worst:.3e} (tol {cfg.residual_tol:g})", series)
 
 
 def check_conjugate_points(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     meta = scen.expectations.get("conjugate")
     if meta is None:
-        return CheckResult("conjugate_points", "SKIP", "no expectation declared",
-                           "derived: conjugate-point detection")
+        return _result("conjugate_points", "SKIP", "no expectation declared")
     expect = meta["expect"]
     if expect == "converging":
         spec = next(s for s in scen.geodesics if s.character == "timelike")
@@ -375,9 +351,8 @@ def check_conjugate_points(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
         report = detect_conjugate(traj)
         ok = len(report.zeros) >= 1
         where = f"{report.first_zero():.6f}" if ok else "none"
-        return CheckResult("conjugate_points", "PASS" if ok else "FAIL",
-                           f"converging congruence det-zero at {where}",
-                           "derived: conjugate-point detection")
+        return _result("conjugate_points", ok,
+                       f"converging congruence det-zero at {where}")
     label = meta.get("geodesic")
     spec, run = _comoving_run(scen, cfg, runs, label=label)
     report = detect_conjugate(run.trajectory)
@@ -390,25 +365,22 @@ def check_conjugate_points(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
                  for z in report.zeros)
         msg = (f"zeros at {[round(z.t, 8) for z in report.zeros]} "
                f"(expected even-order zero at {at:.8f})")
-    return CheckResult("conjugate_points", "PASS" if ok else "FAIL", msg,
-                       "derived: conjugate-point detection")
+    return _result("conjugate_points", ok, msg)
 
 
 def check_certify(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     if "weighted_de_sitter_family" not in scen.name:
-        return CheckResult("certify_weighted_de_sitter", "SKIP",
-                           "only applies to the weighted family scenario",
-                           "certificate: weighted convergence certification")
+        return _result("certify_weighted_de_sitter", "SKIP",
+                       "only applies to the weighted family scenario")
     n = scen.metric.dim
     cert = certify_weighted_de_sitter(n=n)
-    ok = cert.K_star is not None
     small = certify_weighted_de_sitter(n=n, K_grid=[0.1])
     small_min = small.results[0]["min_value"]
-    ok = ok and not small.results[0]["passed"] and abs(small_min + (n - 1.0)) <= 0.1
-    summary = (f"K_star = {cert.K_star}; K=0.1 min = {small_min:.4f}; "
-               f"{len(cert.findings)} findings")
-    return CheckResult("certify_weighted_de_sitter", "PASS" if ok else "FAIL",
-                       summary, "certificate: weighted convergence certification")
+    ok = (cert.K_star is not None and not small.results[0]["passed"]
+          and abs(small_min + (n - 1.0)) <= 0.1)
+    return _result("certify_weighted_de_sitter", ok,
+                   f"K_star = {cert.K_star}; K=0.1 min = {small_min:.4f}; "
+                   f"{len(cert.findings)} findings")
 
 
 CHECKS = {
@@ -458,7 +430,7 @@ def run(config: RunConfig) -> int:
              f"config: {json.dumps(config.echo, sort_keys=True)}"]
     try:
         scen = scenarios.scenario_from_config(config.scenario_source)
-    except (KeyError, LorentzLabError) as exc:
+    except (KeyError, TypeError, ValueError, LorentzLabError) as exc:
         lines.append(f"FAILED scenario resolution: {exc}")
         lines.append("result: ERROR")
         (out / "report.txt").write_text("\n".join(lines) + "\n")
@@ -481,22 +453,14 @@ def run(config: RunConfig) -> int:
 
     for res in sorted(results, key=lambda r: r.name):
         lines.append(f"check {res.name}: {res.status} - {res.summary} [{res.tag}]")
-    n_pass = sum(r.status == "PASS" for r in results)
-    n_fail = sum(r.status == "FAIL" for r in results)
-    n_skip = sum(r.status == "SKIP" for r in results)
+    n_pass, n_fail, n_skip = (sum(r.status == status for r in results)
+                              for status in ("PASS", "FAIL", "SKIP"))
+    verdict, code = (("ERROR", 2) if errored else ("FAIL", 1) if n_fail
+                     else ("PASS", 0))
     if errored:
         lines.append("FAILED: runtime error in at least one check")
-        lines.append(f"result: ERROR (passed {n_pass}, failed {n_fail}, "
-                     f"skipped {n_skip})")
-        code = 2
-    elif n_fail:
-        lines.append(f"result: FAIL (passed {n_pass}, failed {n_fail}, "
-                     f"skipped {n_skip})")
-        code = 1
-    else:
-        lines.append(f"result: PASS (passed {n_pass}, failed {n_fail}, "
-                     f"skipped {n_skip})")
-        code = 0
+    lines.append(f"result: {verdict} (passed {n_pass}, failed {n_fail}, "
+                 f"skipped {n_skip})")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     return code
 
@@ -527,13 +491,9 @@ def main(argv=None) -> int:
     sub.add_parser("list-checks", help="print check identifiers")
     args = parser.parse_args(argv)
 
-    if args.command == "list-scenarios":
-        for name in sorted(BUILTIN_SCENARIOS):
-            print(name)
-        return 0
-    if args.command == "list-checks":
-        for name in sorted(CHECKS):
-            print(name)
+    if args.command != "run":
+        names = BUILTIN_SCENARIOS if args.command == "list-scenarios" else CHECKS
+        print("\n".join(sorted(names)))
         return 0
 
     try:

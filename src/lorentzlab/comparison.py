@@ -12,11 +12,12 @@ import numpy as np
 from scipy.optimize import root
 
 from .congruence import (GeodesicTrajectory, FrameField, endomorphism_series,
-                         integrate_geodesic, modified_endomorphism, parallel_frame)
-from .errors import NoMaximalGeodesic, OutsideUniquenessRegion
+                         integrate_geodesic, parallel_frame,
+                         weighted_endomorphism)
+from .errors import LorentzLabError, NoMaximalGeodesic, OutsideUniquenessRegion
 from .jacobi import integrate_jacobi
 from .manifold import (BakryEmeryParams, MetricField, ScalarField,
-                       bakry_emery_ricci, hessian_scalar, ricci)
+                       bakry_emery_ricci, local_geometry)
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson, spawn_rngs
 
 
@@ -106,7 +107,8 @@ def check_timelike_convergence(g: MetricField, f: ScalarField,
     arg_p, arg_v = None, None
     count = 0
     for p, vs in sample_plan(g, spec):
-        tensor = ricci(g, p) + hessian_scalar(g, f, p)
+        geom = local_geometry(g, p)
+        tensor = geom.ricci + geom.hessian(f)
         df = f.gradient(p)
         for v in vs:
             val = float(v @ tensor @ v)
@@ -138,8 +140,10 @@ def check_f_generic(g: MetricField, f: ScalarField, geo: GeodesicTrajectory,
     sample to within threshold."""
     max_norm = 0.0
     witness = None
-    for t in np.linspace(geo.t0, geo.t1, 200):
-        nrm = float(np.max(np.abs(modified_endomorphism(g, f, geo, frame, t))))
+    ts = np.linspace(geo.t0, geo.t1, 200)
+    for t, x, v in zip(ts, *geo.state(ts)):
+        Rf = weighted_endomorphism(local_geometry(g, x), f, v, frame.vectors(t))
+        nrm = float(np.max(np.abs(Rf)))
         max_norm = max(max_norm, nrm)
         if witness is None and nrm > threshold:
             witness = float(t)
@@ -156,11 +160,11 @@ def trace_identity_check(g: MetricField, f: ScalarField,
     side from the pointwise curvature operations, so the two routes are
     independent."""
     d = frame.k
-    lhs = float(np.trace(modified_endomorphism(g, f, geo, frame, t)))
-    p = geo.point(t)
-    v = geo.velocity(t)
-    fprime = float(f.gradient(p) @ v)
-    rhs = bakry_emery_ricci(g, f, params, p, v, v)
+    x, v = geo.state(t)
+    geom = local_geometry(g, x)
+    lhs = float(np.trace(weighted_endomorphism(geom, f, v, frame.vectors(t))))
+    fprime = float(f.gradient(x) @ v)
+    rhs = geom.bakry_emery(f, params, v, v)
     coeff = 1.0 / d + (0.0 if not params.finite else 1.0 / params.m)
     rhs = rhs + coeff * fprime ** 2
     return abs(lhs - rhs)
@@ -173,10 +177,8 @@ def schwarz_gap(theta, fprime, n, m):
     (theta +/- fprime)^2/(n+m-1); gap = lhs - rhs >= 0, with equality exactly
     when m*theta = +/- (n-1)*fprime.
     """
-    theta = np.asarray(theta, dtype=float)
-    fprime = np.asarray(fprime, dtype=float)
-    n = np.asarray(n, dtype=float)
-    m = np.asarray(m, dtype=float)
+    theta, fprime, n, m = (np.asarray(x, dtype=float)
+                           for x in (theta, fprime, n, m))
     lhs = theta ** 2 / (n - 1.0) + fprime ** 2 / m
     rhs = (np.abs(theta) + np.abs(fprime)) ** 2 / (n + m - 1.0)
     return lhs, rhs, lhs - rhs
@@ -187,10 +189,8 @@ def schwarz_equality_residual(theta, fprime, n, m):
 
     Vanishes exactly on the equality set of the trace-splitting inequality.
     """
-    theta = np.asarray(theta, dtype=float)
-    fprime = np.asarray(fprime, dtype=float)
-    n = np.asarray(n, dtype=float)
-    m = np.asarray(m, dtype=float)
+    theta, fprime, n, m = (np.asarray(x, dtype=float)
+                           for x in (theta, fprime, n, m))
     a = m * theta - (n - 1.0) * fprime
     b = m * theta + (n - 1.0) * fprime
     scale = np.maximum(1.0, m * np.abs(theta) + (n - 1.0) * np.abs(fprime)) ** 2
@@ -247,7 +247,7 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
         try:
             geo = integrate_geodesic(g, apex, v, (0.0, rho), rtol=rtol,
                                      atol=atol, normalize=False)
-        except Exception:
+        except (LorentzLabError, np.linalg.LinAlgError):
             return np.full(n, 1e3)
         if geo.exited_domain:
             return np.full(n, 1e3)
@@ -284,13 +284,14 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     n = g.dim
     geo, rho = _shoot_to_target(g, apex, q, rtol, atol)
     frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    series = endomorphism_series(g, geo, frame, f=f)
+    series = endomorphism_series(g, geo, frame)
     traj = integrate_jacobi(series, np.zeros((n - 1, n - 1)), np.eye(n - 1),
                             (0.0, rho), rtol=rtol, atol=atol)
     A = traj.A(rho)
     theta = float(np.trace(traj.Aprime(rho) @ np.linalg.inv(A)))
     lap = -theta
-    fprime_end = float(f.gradient(geo.point(rho)) @ geo.velocity(rho))
+    x_end, v_end = geo.state(rho)
+    fprime_end = float(f.gradient(x_end) @ v_end)
     value = lap + fprime_end
 
     bound_fin = None if m is None else -(n + float(m) - 1.0) / rho

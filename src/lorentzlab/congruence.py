@@ -17,8 +17,8 @@ from scipy.interpolate import CubicSpline
 
 from . import manifold
 from .errors import FrameDegeneracy, IntegratorFailure, ZeroVector
-from .manifold import (MetricField, ScalarField, christoffel,
-                       christoffel_unchecked, riemann)
+from .manifold import (LocalGeometry, MetricField, ScalarField, christoffel,
+                       christoffel_unchecked, local_geometry)
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, ode_solve
 
 TIMELIKE = "timelike"
@@ -46,6 +46,13 @@ class GeodesicTrajectory:
 
     def velocity(self, t):
         return self._sol.sol(t)[self.metric.dim:]
+
+    def state(self, t):
+        """(c(t), c'(t)) from one dense evaluation; for an array of
+        parameters, two arrays with one row per parameter."""
+        y = self._sol.sol(t)
+        n = self.metric.dim
+        return np.ascontiguousarray(y[:n].T), np.ascontiguousarray(y[n:].T)
 
     @property
     def span(self):
@@ -107,10 +114,10 @@ def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
 
 
 def _check_norm_conservation(traj: GeodesicTrajectory, tol=1e-8):
-    worst = 0.0
-    for p, v in zip(traj.points, traj.velocities):
-        worst = max(worst, abs(traj.metric.inner(p, v, v) - traj.norm))
-    if worst > tol:
+    G = traj.metric.at(traj.points)
+    v = traj.velocities
+    worst = float(np.max(np.abs(np.einsum("ia,iab,ib->i", v, G, v) - traj.norm)))
+    if not worst <= tol:
         raise IntegratorFailure(
             f"geodesic norm drift {worst:.3e} exceeds {tol:.1e}; tighten tolerances")
     traj.stats["norm_drift"] = worst
@@ -118,11 +125,9 @@ def _check_norm_conservation(traj: GeodesicTrajectory, tol=1e-8):
 
 def geodesic_residual(traj: GeodesicTrajectory, t, delta=1e-4) -> float:
     """|c'' + Gamma(c', c')| via central differencing of the dense velocity."""
-    g = traj.metric
-    x = traj.point(t)
-    v = traj.velocity(t)
+    x, v = traj.state(t)
     acc = (traj.velocity(t + delta) - traj.velocity(t - delta)) / (2.0 * delta)
-    gamma = christoffel(g, x)
+    gamma = christoffel(traj.metric, x)
     return float(np.linalg.norm(acc + np.einsum("abc,b,c->a", gamma, v, v)))
 
 
@@ -153,9 +158,7 @@ class FrameField:
         raise ValueError(f"t={t} outside frame range")
 
     def _stack(self, t):
-        n = self.geodesic.metric.dim
-        rows = self._segment_for(t).sol(t).reshape(-1, n)
-        return rows
+        return self._segment_for(t).sol(t).reshape(-1, self.geodesic.metric.dim)
 
     def vectors(self, t) -> np.ndarray:
         rows = self._stack(t)
@@ -168,10 +171,10 @@ class FrameField:
 
     def gram_residual(self, t) -> float:
         geo = self.geodesic
-        g = geo.metric.at(geo.point(t))
+        x, v = geo.state(t)
+        g = geo.metric.at(x)
         E = self.vectors(t)
         resid = np.max(np.abs(E @ g @ E.T - np.eye(self.k)))
-        v = geo.velocity(t)
         resid = max(resid, np.max(np.abs(E @ g @ v)))
         if geo.character == NULL:
             nv = self.null_partner(t)
@@ -184,8 +187,8 @@ class FrameField:
         """|E' + Gamma(c', E)| via central differencing of the dense frame."""
         geo = self.geodesic
         E_dot = (self._stack(t + delta) - self._stack(t - delta)) / (2.0 * delta)
-        gamma = christoffel(geo.metric, geo.point(t))
-        v = geo.velocity(t)
+        x, v = geo.state(t)
+        gamma = christoffel(geo.metric, x)
         covariant = E_dot + np.einsum("abc,b,ic->ia", gamma, v, self._stack(t))
         return float(np.max(np.abs(covariant)))
 
@@ -267,8 +270,7 @@ def parallel_frame(g: MetricField, geo: GeodesicTrajectory,
                             geo.character)
 
     def rhs(t, y):
-        x = geo.point(t)
-        v = geo.velocity(t)
+        x, v = geo.state(t)
         gamma = christoffel_unchecked(g, x)
         E = y.reshape(-1, n)
         dE = -np.einsum("abc,b,ic->ia", gamma, v, E)
@@ -289,8 +291,8 @@ def parallel_frame(g: MetricField, geo: GeodesicTrajectory,
 
 
 def _reorthogonalize(g, geo, t, stack):
-    G = g.at(geo.point(t))
-    v = geo.velocity(t)
+    x, v = geo.state(t)
+    G = g.at(x)
     if geo.character == TIMELIKE:
         return _complete_frame(G, v, list(stack), stack.shape[0])
     nvec = stack[0]
@@ -312,16 +314,9 @@ def curvature_endomorphism(g: MetricField, geo: GeodesicTrajectory,
     orthonormal frame.  Along null geodesics the same formula computed on
     quotient representatives is well defined because R(beta', beta') = 0.
     """
-    p = geo.point(t)
+    x, v = geo.state(t)
     E = frame.vectors(t)
-    return _curvature_matrix(g.at(p), riemann(g, p), geo.velocity(t), E, E)
-
-
-def _curvature_matrix(G, R, v, E_in, E_out):
-    # M[j, i] = g(R(E_in_i, v) v, E_out_j), with
-    # (R(E_i, v) v)^a = R^a_{bcd} v^b E_i^c v^d
-    img = np.einsum("abcd,b,ic,d->ia", R, v, E_in, v)
-    return np.einsum("jb,ab,ia->ji", E_out, G, img)
+    return local_geometry(g, x).curvature_matrix(v, E, E)
 
 
 def modified_endomorphism(g: MetricField, f: ScalarField,
@@ -332,11 +327,19 @@ def modified_endomorphism(g: MetricField, f: ScalarField,
     same normalization enters the weighted expansion, so the trace identity
     closes with matching coefficients in both cases.
     """
-    p = geo.point(t)
-    v = geo.velocity(t)
-    return _weighted(curvature_endomorphism(g, geo, frame, t),
-                     float(v @ manifold.hessian_scalar(g, f, p) @ v),
-                     float(f.gradient(p) @ v))
+    x, v = geo.state(t)
+    return weighted_endomorphism(local_geometry(g, x), f, v, frame.vectors(t))
+
+
+def weighted_endomorphism(geom: LocalGeometry, f: ScalarField, v, E) -> np.ndarray:
+    """R_f on the frame rows E, from the geometry geom at c(t) and v = c'(t)."""
+    return _weighted(*_endomorphism_terms(geom, f, v, E))
+
+
+def _endomorphism_terms(geom, f, v, E):
+    """R on the frame rows E, Hess f(v, v) and (f o c)' = df(v)."""
+    return (geom.curvature_matrix(v, E, E), float(v @ geom.hessian(f) @ v),
+            float(f.gradient(geom.p) @ v))
 
 
 def _weighted(R, hess_cc, fprime):
@@ -353,22 +356,20 @@ def quotient_invariance_residual(g: MetricField, geo: GeodesicTrajectory,
     defined."""
     if geo.character != NULL:
         raise ValueError("quotient invariance only applies to null geodesics")
-    p = geo.point(t)
-    v = geo.velocity(t)
-    G = g.at(p)
-    R = riemann(g, p)
+    x, v = geo.state(t)
+    geom = local_geometry(g, x)
     E = frame.vectors(t)
-    base = _curvature_matrix(G, R, v, E, E)
-    shifted = _curvature_matrix(G, R, v, E + shift * v[None, :], E)
+    base = geom.curvature_matrix(v, E, E)
+    shifted = geom.curvature_matrix(v, E + shift * v[None, :], E)
     return float(np.max(np.abs(shifted - base)))
 
 
 class EndomorphismSeries:
     """Sampled (and spline-interpolated) R(t), R_f(t) along a geodesic.
 
-    Also carries the scalar series (f o c)' and Hess f(c', c') used by the
-    congruence diagnostics.  Calling the series evaluates R(t); the
-    weighted endomorphism is available via .modified(t).
+    Calling the series evaluates R(t).  Given the samples of (f o c)' and
+    Hess f(c', c'), it also splines them, and .modified(t) evaluates R_f(t);
+    without them there are no weighted splines and .modified(t) is R(t).
     """
 
     def __init__(self, ts, R_samples, fprime=None, hess_cc=None):
@@ -384,12 +385,10 @@ class EndomorphismSeries:
     def __call__(self, t):
         return self._rspline(t)
 
-    def fprime(self, t):
-        return 0.0 if self._fprime_spline is None else float(self._fprime_spline(t))
-
     def modified(self, t):
-        hess = 0.0 if self._hess_spline is None else float(self._hess_spline(t))
-        return _weighted(self._rspline(t), hess, self.fprime(t))
+        hess, fprime = (0.0 if s is None else float(s(t))
+                        for s in (self._hess_spline, self._fprime_spline))
+        return _weighted(self._rspline(t), hess, fprime)
 
     def symmetry_residual(self) -> float:
         return float(np.max(np.abs(self.R_samples
@@ -399,17 +398,18 @@ class EndomorphismSeries:
 def endomorphism_series(g: MetricField, geo: GeodesicTrajectory,
                         frame: FrameField, ts=None,
                         f: ScalarField | None = None) -> EndomorphismSeries:
+    """R(t) sampled on ts, one LocalGeometry per sample, with the weighted
+    scalar series when f is given."""
     if ts is None:
         ts = np.linspace(geo.t0, geo.t1, max(400, 4 * len(geo.ts)))
     ts = np.asarray(ts, dtype=float)
-    R = np.array([curvature_endomorphism(g, geo, frame, t) for t in ts])
+    samples = []
+    for t, x, v in zip(ts, *geo.state(ts)):
+        geom = local_geometry(g, x)
+        E = frame.vectors(t)
+        samples.append(geom.curvature_matrix(v, E, E) if f is None
+                       else _endomorphism_terms(geom, f, v, E))
     if f is None:
-        return EndomorphismSeries(ts, R)
-    fp, hcc = [], []
-    for t in ts:
-        p = geo.point(t)
-        v = geo.velocity(t)
-        fp.append(float(f.gradient(p) @ v))
-        hcc.append(float(v @ manifold.hessian_scalar(g, f, p) @ v))
-    return EndomorphismSeries(ts, R, fprime=fp, hess_cc=hcc)
-
+        return EndomorphismSeries(ts, samples)
+    R, hess_cc, fprime = zip(*samples)
+    return EndomorphismSeries(ts, R, fprime=fprime, hess_cc=hess_cc)

@@ -190,19 +190,13 @@ def kinematics(traj: JacobiTrajectory, fprime=None, n=None, ts=None,
     fp = _fprime_values(fprime, ts)
 
     N = len(ts)
-    B_f = np.full((N, k, k), np.nan)
-    theta = np.full(N, np.nan)
-    theta_f = np.full(N, np.nan)
-    omega = np.full((N, k, k), np.nan)
-    sigma = np.full((N, k, k), np.nan)
+    B_f, omega, sigma = (np.full((N, k, k), np.nan) for _ in range(3))
+    theta, theta_f, tr_s2, tr_w2 = (np.full(N, np.nan) for _ in range(4))
     det_A = np.empty(N)
-    tr_s2 = np.full(N, np.nan)
-    tr_w2 = np.full(N, np.nan)
     mask = np.zeros(N, dtype=bool)
 
     for i, t in enumerate(ts):
-        A = traj.A(t)
-        Ap = traj.Aprime(t)
+        A, Ap = traj.A(t), traj.Aprime(t)
         det_A[i] = np.linalg.det(A)
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] <= singular_rtol * max(sv[0], 1.0):
@@ -212,13 +206,10 @@ def kinematics(traj: JacobiTrajectory, fprime=None, n=None, ts=None,
         thf = th - fp[i]
         if abs(thf) > THETA_BLOWUP:
             continue
-        Bf = B - (fp[i] / k) * np.eye(k)
-        B_f[i] = Bf
-        theta[i] = th
-        theta_f[i] = thf
+        B_f[i] = Bf = B - (fp[i] / k) * np.eye(k)
+        theta[i], theta_f[i] = th, thf
         omega[i] = 0.5 * (Bf - Bf.T)
-        sym = 0.5 * (Bf + Bf.T)
-        sigma[i] = sym - (thf / k) * np.eye(k)
+        sigma[i] = 0.5 * (Bf + Bf.T) - (thf / k) * np.eye(k)
         tr_s2[i] = np.trace(sigma[i] @ sigma[i])
         tr_w2[i] = np.trace(omega[i] @ omega[i])
         mask[i] = True
@@ -264,22 +255,17 @@ def raychaudhuri_residual(diag: CongruenceDiagnostics, ric_fm, m) -> Raychaudhur
     as well (nonnegative where the respective curvature condition holds).
     """
     ts = diag.ts
-    if callable(ric_fm):
-        ric = np.array([float(ric_fm(t)) for t in ts])
-    else:
-        ric = np.asarray(ric_fm, dtype=float)
+    ric = (np.array([float(ric_fm(t)) for t in ts]) if callable(ric_fm)
+           else np.asarray(ric_fm, dtype=float))
     if np.count_nonzero(diag.mask) < 7:
         raise InsufficientSamples("too few unmasked samples for differentiation")
 
     t_in, dthf = stencil_derivative(ts, diag.theta_f)
     sel = slice(2, -2)
     k = diag.k
-    theta = diag.theta[sel]
-    thf = diag.theta_f[sel]
-    fp = diag.fprime[sel]
-    tr_s2 = diag.tr_sigma2[sel]
-    tr_w2 = diag.tr_omega2[sel]
-    ric_in = ric[sel]
+    theta, thf, fp, tr_s2, tr_w2, ric_in = (
+        a[sel] for a in (diag.theta, diag.theta_f, diag.fprime, diag.tr_sigma2,
+                         diag.tr_omega2, ric))
 
     common = dthf + ric_in + tr_w2 + tr_s2 + theta ** 2 / k
     if m is INFINITE_M:
@@ -579,21 +565,16 @@ def asymptotic_lagrange(R_source, t1, s_list, eval_ts,
     for s_prev, s_next in zip(s_list[:-1], s_list[1:]):
         cauchy.append(float(np.max(np.abs(values[s_next] - values[s_prev]))))
     monotone = all(b < a for a, b in zip(cauchy[:-1], cauchy[1:]))
-    nonconvergent = not monotone
 
     limit = None
     if monotone and len(s_list) >= 3:
-        last = values[s_list[-1]]
-        prev = values[s_list[-2]]
-        delta = last - prev
-        r = cauchy[-1] / cauchy[-2] if cauchy[-2] > 0 else 0.0
-        if r < 1.0:
-            limit = last + delta * (r / (1.0 - r))
-        else:
-            limit = last
+        # strictly decreasing differences: the ratio r lies in [0, 1)
+        last, prev = values[s_list[-1]], values[s_list[-2]]
+        r = cauchy[-1] / cauchy[-2]
+        limit = last + (last - prev) * (r / (1.0 - r))
     return AsymptoticReport(s_list=s_list, eval_ts=eval_ts, values=values,
                             cauchy=cauchy, monotone=monotone, limit=limit,
-                            nonconvergent=nonconvergent)
+                            nonconvergent=not monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +589,8 @@ def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None,
     The quotient system has dimension n-2.  The initial expansion theta1 is
     imposed isotropically via A(t1) = E, A'(t1) = (theta1/(n-2)) E; under
     tr Rbar_f >= 0 a det-zero must occur within (n-2)/|theta1| of t1 on the
-    converging side.
+    converging side.  fprime, a callable or an array whose first entry
+    belongs to the start of span, enters only the reported theta1.
     """
     k = n - 2
     upper = _predicted_end(t1, theta1, n - 2.0)
@@ -618,7 +600,10 @@ def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None,
     A0 = np.eye(k)
     A0p = (theta1 / k) * np.eye(k)
     traj = integrate_jacobi(rbar_source, A0, A0p, span, rtol=rtol, atol=atol)
-    diag = kinematics(traj, fprime=fprime)
+    # theta1 is read at t1 alone; an fprime array starts on the same sample
+    if fprime is not None and not callable(fprime):
+        fprime = np.asarray(fprime, dtype=float)[:1]
+    diag = kinematics(traj, fprime=fprime, ts=np.array([traj.t0]))
     ric = _ric_fm_from_trace(traj, INFINITE_M)
     report = _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9], tol)
     report.theta1 = float(diag.theta_f[0]) if diag.mask[0] else theta1

@@ -18,6 +18,15 @@ Derivative access is either analytic (callbacks supplied with the field) or
 central finite differences: step h*max(1,|x_c|) for first derivatives and the
 widened step sqrt(h)*max(1,|x_c|) for second derivatives, which balances
 truncation against roundoff in double precision.
+
+Validation: one routine checks a metric matrix, or a stack of them, to be
+finite, symmetric to 1e-12 relative and of signature (-,+,...,+) with no
+eigenvalue within 1e-12 of zero, and raises SingularMetric otherwise.  Each
+point is checked once: LocalGeometry validates G on construction and takes
+the conditioning test of G^{-1} (min |eigenvalue| >= 1e-12 max |eigenvalue|)
+from the same eigenvalues.  It is the one source of Gamma, Riem, Ric and
+Hess f; christoffel, riemann, ricci, hessian_scalar and bakry_emery_ricci
+are views of it.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -90,34 +100,34 @@ class MetricField:
 
     # -- evaluation ------------------------------------------------------
 
-    def in_domain(self, p) -> bool:
+    def in_domain(self, p):
+        """Whether p lies in the chart; row by row for a stack of points."""
+        p = np.asarray(p, dtype=float)
         if self.domain is None:
-            return True
-        p = np.asarray(p, dtype=float)
-        return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.domain))
+            return np.ones(p.shape[:-1], dtype=bool)
+        lo, hi = np.array(self.domain, dtype=float).T
+        return ((lo <= p) & (p <= hi)).all(axis=-1)
 
-    def at(self, p, validate: bool = True) -> np.ndarray:
+    def _checked(self, p):
+        """(p, G, eigenvalues of G): the point, or a stack of points, checked
+        against the chart, and the metric there validated by _lorentzian."""
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
+        if p.shape[-1:] != (self.dim,):
             raise ValueError(f"point must have length {self.dim}")
-        if not self.in_domain(p):
-            raise DomainViolation(f"point {p} outside coordinate domain")
-        g = np.asarray(self.matrix(p), dtype=float)
-        if validate:
-            if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-                raise SingularMetric(f"metric not symmetric at {p}")
-            eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-            if np.sum(eig < 0.0) != 1 or np.any(np.isclose(eig, 0.0, atol=1e-12)):
-                raise SingularMetric(
-                    f"metric at {p} does not have Lorentzian signature (-,+,...,+)")
-        return 0.5 * (g + g.T)
+        inside = self.in_domain(p)
+        if not inside.all():
+            raise DomainViolation(f"point {_first(p, inside)} outside "
+                                  "coordinate domain")
+        g = self.matrix(p) if p.ndim == 1 else [self.matrix(x) for x in p]
+        G, eig = _lorentzian(np.asarray(g, dtype=float), p)
+        return p, G, eig
+
+    def at(self, p) -> np.ndarray:
+        """The validated metric at p, or at each row of a stack of points."""
+        return self._checked(p)[1]
 
     def inverse_at(self, p) -> np.ndarray:
-        g = self.at(p)
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] < 1e-12 * sv[0]:
-            raise SingularMetric(f"metric numerically singular at {p}")
-        return np.linalg.inv(g)
+        return LocalGeometry(self, p).G_inv
 
     # -- derivatives -----------------------------------------------------
 
@@ -224,10 +234,105 @@ def _christoffel_core(ginv, bracket):
     return 0.5 * np.einsum("ad,...dbc->...abc", ginv, bracket)
 
 
+def _lorentzian(g, points):
+    """The symmetrized metric matrices g[..., n, n] and their eigenvalues.
+
+    Raises SingularMetric, naming the first offending row of points, unless
+    every matrix is finite, symmetric and Lorentzian as the module docstring
+    states.
+    """
+    scale = np.abs(g).max(axis=(-2, -1))
+    ok = scale < np.inf
+    if not ok.all():
+        raise SingularMetric(f"metric not finite at {_first(points, ok)}")
+    gt = np.swapaxes(g, -1, -2)
+    ok = np.abs(g - gt).max(axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, scale)
+    if not ok.all():
+        raise SingularMetric(f"metric not symmetric at {_first(points, ok)}")
+    sym = 0.5 * (g + gt)
+    eig = np.linalg.eigvalsh(sym)
+    # ascending eigenvalues: exactly one below zero, none within 1e-12 of it
+    ok = (eig[..., 0] < -1e-12) & (eig[..., 1] > 1e-12)
+    if not ok.all():
+        raise SingularMetric(f"metric at {_first(points, ok)} does not have "
+                             "Lorentzian signature (-,+,...,+)")
+    return sym, eig
+
+
+def _first(points, ok):
+    """The first point, of one or a stack, where ok is False."""
+    return np.atleast_2d(points)[np.argmin(ok)]
+
+
+class LocalGeometry:
+    """The geometry of a metric at one chart point, validated once.
+
+    G, G_inv, dG[c, a, b] = d_c g_ab and gamma[a, b, c] = Gamma^a_{bc} are
+    built on construction; riemann and ricci the first time one is read, so
+    consumers of gamma alone (Hessians) never evaluate second derivatives.
+    """
+
+    def __init__(self, metric: MetricField, p):
+        self.metric = metric
+        self.p, self.G, eig = metric._checked(p)
+        mag = np.abs(eig)  # for symmetric G, the singular values
+        if mag.min() < 1e-12 * mag.max():
+            raise SingularMetric(f"metric numerically singular at {self.p}")
+        self.G_inv = np.linalg.inv(self.G)
+        self.dG = metric.first_derivatives(self.p)
+        self.gamma = _christoffel_core(self.G_inv, _bracket(self.dG))
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """R[a, b, c, d] = R^a_{bcd}."""
+        ginv, ddg = self.G_inv, self.metric.second_derivatives(self.p)
+        # d_e g^{ad} = -g^{af} (d_e g_fh) g^{hd}
+        dginv = -np.einsum("af,efh,hd->ead", ginv, self.dG, ginv)
+        dgamma = (0.5 * np.einsum("ead,dbc->eabc", dginv, _bracket(self.dG))
+                  + _christoffel_core(ginv, _bracket(ddg)))
+        quad = np.einsum("ace,edb->abcd", self.gamma, self.gamma)
+        return (np.einsum("cadb->abcd", dgamma) - np.einsum("dacb->abcd", dgamma)
+                + quad - np.einsum("abdc->abcd", quad))
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        """Ric_bd = R^a_{bad}."""
+        ric = np.einsum("abad->bd", self.riemann)
+        return 0.5 * (ric + ric.T)
+
+    def hessian(self, f: ScalarField) -> np.ndarray:
+        """(Hess f)_ab = d_a d_b f - Gamma^c_{ab} d_c f."""
+        hess = (f.coordinate_hessian(self.p)
+                - np.einsum("cab,c->ab", self.gamma, f.gradient(self.p)))
+        return 0.5 * (hess + hess.T)
+
+    def bakry_emery(self, f: ScalarField, params: BakryEmeryParams, v, w) -> float:
+        """Ric_f^m(v, w) = Ric(v, w) + Hess f(v, w) - (1/m) df(v) df(w).
+
+        The last term is omitted for m = INFINITE_M.
+        """
+        v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+        out = float(v @ (self.ricci + self.hessian(f)) @ w)
+        if params.finite:
+            df = f.gradient(self.p)
+            out -= float(df @ v) * float(df @ w) / params.m
+        return out
+
+    def curvature_matrix(self, v, E_in, E_out) -> np.ndarray:
+        """M[j, i] = g(R(E_in_i, v) v, E_out_j) for the rows of E_in, E_out."""
+        # (R(E_i, v) v)^a = R^a_{bcd} v^b E_i^c v^d
+        img = np.einsum("abcd,b,ic,d->ia", self.riemann, v, E_in, v)
+        return np.einsum("jb,ab,ia->ji", E_out, self.G, img)
+
+
+def local_geometry(g: MetricField, p) -> LocalGeometry:
+    """The validated geometry of g at p."""
+    return LocalGeometry(g, p)
+
+
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Levi-Civita symbols Gamma[a, b, c] = Gamma^a_{bc}."""
-    p = np.asarray(p, dtype=float)
-    return _christoffel_core(g.inverse_at(p), _bracket(g.first_derivatives(p)))
+    return local_geometry(g, p).gamma
 
 
 def christoffel_unchecked(g: MetricField, p) -> np.ndarray:
@@ -242,59 +347,31 @@ def christoffel_unchecked(g: MetricField, p) -> np.ndarray:
                              _bracket(g.first_derivatives(p)))
 
 
-def _christoffel_and_derivative(g: MetricField, p):
-    p = np.asarray(p, dtype=float)
-    ginv = g.inverse_at(p)
-    dg = g.first_derivatives(p)
-    bracket = _bracket(dg)
-    # d_e g^{ad} = -g^{af} (d_e g_fh) g^{hd}
-    dginv = -np.einsum("af,efh,hd->ead", ginv, dg, ginv)
-    dgamma = (0.5 * np.einsum("ead,dbc->eabc", dginv, bracket)
-              + _christoffel_core(ginv, _bracket(g.second_derivatives(p))))
-    return _christoffel_core(ginv, bracket), dgamma
-
-
 def riemann(g: MetricField, p) -> np.ndarray:
     """Curvature tensor components R[a, b, c, d] = R^a_{bcd}."""
-    gamma, dgamma = _christoffel_and_derivative(g, p)
-    quad = np.einsum("ace,edb->abcd", gamma, gamma)
-    return (np.einsum("cadb->abcd", dgamma) - np.einsum("dacb->abcd", dgamma)
-            + quad - np.einsum("abdc->abcd", quad))
+    return local_geometry(g, p).riemann
 
 
 def riemann_lowered(g: MetricField, p) -> np.ndarray:
     """Fully covariant R[a, b, c, d] = g_ae R^e_{bcd}."""
-    return np.einsum("ae,ebcd->abcd", g.at(p), riemann(g, p))
+    geom = local_geometry(g, p)
+    return np.einsum("ae,ebcd->abcd", geom.G, geom.riemann)
 
 
 def ricci(g: MetricField, p) -> np.ndarray:
     """Ric_bd = R^a_{bad}."""
-    R = riemann(g, p)
-    ric = np.einsum("abad->bd", R)
-    return 0.5 * (ric + ric.T)
+    return local_geometry(g, p).ricci
 
 
 def hessian_scalar(g: MetricField, f: ScalarField, p) -> np.ndarray:
     """(Hess f)_ab = d_a d_b f - Gamma^c_{ab} d_c f."""
-    gamma = christoffel(g, p)
-    hess = f.coordinate_hessian(p) - np.einsum("cab,c->ab", gamma, f.gradient(p))
-    return 0.5 * (hess + hess.T)
+    return local_geometry(g, p).hessian(f)
 
 
 def bakry_emery_ricci(g: MetricField, f: ScalarField, params: BakryEmeryParams,
                       p, v, w) -> float:
-    """Ric_f^m(v, w) = Ric(v, w) + Hess f(v, w) - (1/m) df(v) df(w).
-
-    The last term is omitted for m = INFINITE_M.
-    """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    tensor = ricci(g, p) + hessian_scalar(g, f, p)
-    out = float(v @ tensor @ w)
-    if params.finite:
-        df = f.gradient(p)
-        out -= float(df @ v) * float(df @ w) / params.m
-    return out
+    """Ric_f^m(v, w); see LocalGeometry.bakry_emery."""
+    return local_geometry(g, p).bakry_emery(f, params, v, w)
 
 
 def causal_character(g: MetricField, p, v, eps_null: float = 1e-9) -> str:

@@ -11,8 +11,7 @@ from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
                          endomorphism_series, integrate_geodesic, parallel_frame)
 from .jacobi import (CongruenceDiagnostics, JacobiTrajectory, integrate_jacobi,
                      kinematics)
-from .manifold import (MetricField, ScalarField, bakry_emery_ricci,
-                       hessian_scalar, ricci)
+from .manifold import MetricField, ScalarField, local_geometry
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, stencil_derivative
 
 
@@ -28,10 +27,9 @@ class CongruenceRun:
         """Pointwise Ric_f^m(c', c') along the geodesic (independent of the
         frame route)."""
         ts = self.diagnostics.ts if ts is None else ts
-        geo = self.geodesic
-        return np.array([bakry_emery_ricci(g, f, params, geo.point(t),
-                                           geo.velocity(t), geo.velocity(t))
-                         for t in ts])
+        xs, vs = self.geodesic.state(np.asarray(ts, dtype=float))
+        return np.array([local_geometry(g, x).bakry_emery(f, params, v, v)
+                         for x, v in zip(xs, vs)])
 
 
 def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = None,
@@ -121,14 +119,11 @@ def mean_curvature_evolution(g: MetricField, f: ScalarField,
     t_in, dH = stencil_derivative(diag.ts, H_f)
     sel = slice(2, -2)
     rhs = np.empty(len(t_in))
-    for i, t in enumerate(t_in):
-        p = geo.point(t)
-        v = geo.velocity(t)
-        ricNN = float(v @ ricci(g, p) @ v)
-        hessNN = float(v @ hessian_scalar(g, f, p) @ v)
-        A = traj.A(t)
-        B = traj.Aprime(t) @ np.linalg.inv(A)
-        rhs[i] = -ricNN - hessNN - float(np.sum(B * B))
+    for i, (t, x, v) in enumerate(zip(t_in, *geo.state(t_in))):
+        geom = local_geometry(g, x)
+        B = traj.Aprime(t) @ np.linalg.inv(traj.A(t))
+        rhs[i] = (-float(v @ geom.ricci @ v) - float(v @ geom.hessian(f) @ v)
+                  - float(np.sum(B * B)))
     residual = np.where(diag.mask[sel], dH - rhs, np.nan)
     return MeanCurvatureReport(ts=t_in, H_f=H_f[sel], residual=residual,
                                max_residual=float(np.nanmax(np.abs(residual))),

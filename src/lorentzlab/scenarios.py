@@ -12,14 +12,14 @@ where the chart is uniformly regular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import manifold
 from .comparison import SampleSpec, sample_plan
 from .manifold import (INFINITE_M, BakryEmeryParams, MetricField, ScalarField,
-                       christoffel, constant_scalar, ricci, riemann_lowered)
+                       christoffel, constant_scalar, riemann_lowered)
 
 POLE_MARGIN = 1e-3
 
@@ -203,26 +203,7 @@ class Scenario:
         for key, entry in self.manifest.items():
             kind = entry["kind"]
             tol = entry.get("tol", 1e-8)
-            pts = [np.asarray(p, dtype=float) for p in entry.get("points", [])]
-            if kind == "flat":
-                for p in pts:
-                    R = manifold.riemann(self.metric, p)
-                    assert np.max(np.abs(R)) <= tol, f"{self.name}:{key}"
-            elif kind == "ricci_proportional":
-                lam = entry["lambda"]
-                for p in pts:
-                    G = self.metric.at(p)
-                    res = np.max(np.abs(ricci(self.metric, p) - lam * G))
-                    assert res <= tol, f"{self.name}:{key} residual {res}"
-            elif kind == "constant_curvature":
-                kappa = entry["K"]
-                for p in pts:
-                    G = self.metric.at(p)
-                    expected = kappa * (np.einsum("ac,bd->abcd", G, G)
-                                        - np.einsum("ad,bc->abcd", G, G))
-                    res = np.max(np.abs(riemann_lowered(self.metric, p) - expected))
-                    assert res <= tol, f"{self.name}:{key} residual {res}"
-            elif kind == "geodesic_residual":
+            if kind == "geodesic_residual":
                 # spot check at the start point; full-trajectory residuals are
                 # enforced by the integrator's norm and residual guards
                 for spec in self.geodesics:
@@ -230,8 +211,21 @@ class Scenario:
                     acc = np.einsum("abc,b,c->a", gamma, spec.v0, spec.v0)
                     res = np.linalg.norm(acc)
                     assert res <= tol, f"{self.name}:{key}:{spec.label} {res}"
-            else:
+                continue
+            if kind not in ("flat", "ricci_proportional", "constant_curvature"):
                 raise ValueError(f"unknown manifest kind {kind}")
+            for p in entry.get("points", []):
+                geom = manifold.local_geometry(self.metric, p)
+                G = geom.G
+                if kind == "flat":
+                    res = np.max(np.abs(geom.riemann))
+                elif kind == "ricci_proportional":
+                    res = np.max(np.abs(geom.ricci - entry["lambda"] * G))
+                else:
+                    expected = entry["K"] * (np.einsum("ac,bd->abcd", G, G)
+                                             - np.einsum("ad,bc->abcd", G, G))
+                    res = np.max(np.abs(riemann_lowered(self.metric, p) - expected))
+                assert res <= tol, f"{self.name}:{key} residual {res}"
         return True
 
 
@@ -349,23 +343,15 @@ def de_sitter(n: int) -> Scenario:
 
 def de_sitter_weighted(n: int, K: float = 2.0) -> Scenario:
     base = de_sitter(n)
-    expectations = dict(base.expectations)
-    expectations["f_laplacian"] = {
-        "mode": "bound_infinite",
-        "apex_ts": [0.5, 1.0, 1.5, 2.0],
-        "rhos": [0.4, 0.8, 1.2, 1.6, 2.0],
-    }
-    scen = Scenario(
-        name=f"de_sitter{n}_weighted", metric=base.metric,
-        weight=sinh_squared_f(K),
+    laplacian = {"mode": "bound_infinite", "apex_ts": [0.5, 1.0, 1.5, 2.0],
+                 "rhos": [0.4, 0.8, 1.2, 1.6, 2.0]}
+    return replace(
+        base, name=f"de_sitter{n}_weighted", weight=sinh_squared_f(K),
         params=BakryEmeryParams(m=INFINITE_M, k=None),
-        geodesics=base.geodesics, manifest=base.manifest,
-        uniqueness=base.uniqueness,
         default_checks=base.default_checks + ("check_timelike_convergence",
                                               "f_laplacian_bounds"),
-        expectations=expectations,
+        expectations={**base.expectations, "f_laplacian": laplacian},
         notes=f"de Sitter with weight sinh^2({K} t); convergence certified by sampling")
-    return scen
 
 
 def warped_product(warp, fiber_einstein_lambda: float, n: int,
@@ -418,6 +404,10 @@ WARPS = {
 }
 
 
+_FOCUSING_CHECKS = ("metric_invariants", "raychaudhuri_residual",
+                    "lagrange_conservation", "trace_identity", "conjugate_points")
+
+
 def einstein_static(n: int) -> Scenario:
     """Product of a line with a unit round sphere.
 
@@ -426,7 +416,6 @@ def einstein_static(n: int) -> Scenario:
     congruence has a conjugate point at exactly pi/sinh(chi) with det A
     vanishing to even order (no sign change).
     """
-    scen = warped_product("one", float(n - 2), n, name=f"einstein_static{n}")
     chi = math.asinh(1.0)
     e_t = np.zeros(n)
     e_t[0] = 1.0
@@ -435,22 +424,20 @@ def einstein_static(n: int) -> Scenario:
     tilted[-1] = math.sinh(chi)  # equatorial azimuthal direction, g-unit there
     null_v = e_t.copy()
     null_v[-1] = 1.0
-    scen.geodesics = [
-        GeodesicSpec("comoving", equator_point(n, 0.0), e_t, (0.0, 6.0), "timelike"),
-        GeodesicSpec("tilted", equator_point(n, 0.0), tilted, (0.0, 4.5), "timelike"),
-        GeodesicSpec("null_equatorial", equator_point(n, 0.0), null_v,
-                     (0.0, 4.2), "null"),
-    ]
-    scen.default_checks = ("metric_invariants", "raychaudhuri_residual",
-                           "lagrange_conservation", "trace_identity",
-                           "conjugate_points")
-    scen.expectations = {
-        "f_generic": {"comoving": False, "tilted": True},
-        "conjugate": {"expect": "even_zero", "at": math.pi,
-                      "geodesic": "tilted"},
-    }
-    scen.notes = "product spacetime; tilted geodesics focus at pi/sinh(chi)"
-    return scen
+    return replace(
+        warped_product("one", float(n - 2), n, name=f"einstein_static{n}"),
+        geodesics=[
+            GeodesicSpec("comoving", equator_point(n, 0.0), e_t, (0.0, 6.0),
+                         "timelike"),
+            GeodesicSpec("tilted", equator_point(n, 0.0), tilted, (0.0, 4.5),
+                         "timelike"),
+            GeodesicSpec("null_equatorial", equator_point(n, 0.0), null_v,
+                         (0.0, 4.2), "null")],
+        default_checks=_FOCUSING_CHECKS,
+        expectations={"f_generic": {"comoving": False, "tilted": True},
+                      "conjugate": {"expect": "even_zero", "at": math.pi,
+                                    "geodesic": "tilted"}},
+        notes="product spacetime; tilted geodesics focus at pi/sinh(chi)")
 
 
 def frw_toy(n: int) -> Scenario:
@@ -460,18 +447,14 @@ def frw_toy(n: int) -> Scenario:
     the chart, which a cos(t) scale factor cannot do (its chart ends exactly
     where the from-a-point congruence would refocus).
     """
-    scen = warped_product("two_plus_cos", float(n - 2), n, name=f"frw_toy{n}")
-    scen.geodesics = [GeodesicSpec("comoving", equator_point(n, -1.2),
-                                   np.eye(n)[0], (-1.2, 1.2), "timelike")]
-    scen.default_checks = ("metric_invariants", "raychaudhuri_residual",
-                           "lagrange_conservation", "trace_identity",
-                           "conjugate_points")
-    scen.expectations = {
-        "conjugate": {"expect": "converging", "t1": -1.0,
-                      "theta1": -float(n - 1)},
-    }
-    scen.notes = "toy cosmology with focusing converging congruences"
-    return scen
+    return replace(
+        warped_product("two_plus_cos", float(n - 2), n, name=f"frw_toy{n}"),
+        geodesics=[GeodesicSpec("comoving", equator_point(n, -1.2),
+                                np.eye(n)[0], (-1.2, 1.2), "timelike")],
+        default_checks=_FOCUSING_CHECKS,
+        expectations={"conjugate": {"expect": "converging", "t1": -1.0,
+                                    "theta1": -float(n - 1)}},
+        notes="toy cosmology with focusing converging congruences")
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +496,7 @@ def certify_weighted_de_sitter(n: int = 4, K_grid=None, spec: SampleSpec | None 
         spec = SampleSpec(points=pts, n_timelike=16, seed=20240, chi_max=1.0)
 
     plan = sample_plan(g, spec)
-    ric_cache = [manifold.ricci(g, p) for p, _ in plan]
+    geoms = [manifold.local_geometry(g, p) for p, _ in plan]
     e_t = np.zeros(n)
     e_t[0] = 1.0
 
@@ -525,8 +508,8 @@ def certify_weighted_de_sitter(n: int = 4, K_grid=None, spec: SampleSpec | None 
         ineq1_min = np.inf
         ineq2_min = np.inf
         ineq2_viol = 0
-        for (p, dirs), ric_p in zip(plan, ric_cache):
-            tensor = ric_p + manifold.hessian_scalar(g, f, p)
+        for (p, dirs), geom in zip(plan, geoms):
+            tensor = geom.ricci + geom.hessian(f)
             t = p[0]
             rhs1 = 2.0 * K ** 2 - (n - 1.0)
             rhs2 = (4.0 * K ** 2 * math.cosh(K * t) ** 2 - 2.0 * K ** 2
@@ -571,10 +554,8 @@ def certify_weighted_de_sitter(n: int = 4, K_grid=None, spec: SampleSpec | None 
 # ---------------------------------------------------------------------------
 
 def _weighted_family(n=4):
-    scen = de_sitter_weighted(n)
-    scen.name = f"weighted_de_sitter_family{n}"
-    scen.default_checks = ("certify_weighted_de_sitter",)
-    return scen
+    return replace(de_sitter_weighted(n), name=f"weighted_de_sitter_family{n}",
+                   default_checks=("certify_weighted_de_sitter",))
 
 
 BUILTIN_SCENARIOS = {

@@ -182,3 +182,30 @@ def test_schwarz_check_fails_for_wrong_denominator(monkeypatch):
 
     monkeypatch.setattr(cli, "schwarz_gap", wrong_gap)
     assert _schwarz(20240).status == "FAIL"
+
+
+@pytest.mark.parametrize("extra, needle", [
+    ({"samples": {"n_timelike": "x"}}, "n_timelike"),
+    ({"samples": {"n_timelike": 2.5}}, "n_timelike"),
+    ({"seed": True}, "seed"),
+])
+def test_mistyped_config_values_exit_2_at_parse_time(tmp_path, capsys, extra,
+                                                     needle):
+    conf = {"scenario": "minkowski4", "checks": ["schwarz_gap"], **extra}
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(conf))
+    assert any(needle in v for v in err.value.violations)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(conf))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_scenario_construction_error_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scenario": {"builtin": "de_sitter4", "m": -1},
+                                "checks": ["schwarz_gap"]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "FAILED scenario resolution: m must be a positive real" in report
+    assert report.endswith("result: ERROR\n")

@@ -234,3 +234,50 @@ def test_f_generic_consistency(mink4, ds4w, ds4w_comoving_run):
     Rf = modified_endomorphism(ds4w.metric, ds4w.weight, run.geodesic,
                                run.frame, 0.5)
     assert np.max(np.abs(Rf)) > 1e-9
+
+
+def _counting_metric(metric):
+    """A copy of metric whose callbacks count their calls."""
+    import dataclasses
+    counts = dict.fromkeys(("matrix", "d_matrix", "dd_matrix"), 0)
+
+    def counted(name):
+        cb = getattr(metric, name)
+
+        def call(p):
+            counts[name] += 1
+            return cb(p)
+        return call
+    return dataclasses.replace(metric, **{k: counted(k) for k in counts}), counts
+
+
+def test_series_builds_the_geometry_once_per_sample(ds4w):
+    from lorentzlab.congruence import endomorphism_series
+    from lorentzlab.manifold import hessian_scalar
+    g, counts = _counting_metric(ds4w.metric)
+    spec = ds4w.geodesic("comoving")
+    geo = integrate_geodesic(g, spec.p0, spec.v0, spec.span)
+    frame = parallel_frame(g, geo)
+    ts = np.linspace(geo.t0, geo.t1, 50)
+    counts.update(dict.fromkeys(counts, 0))
+    series = endomorphism_series(g, geo, frame, ts=ts, f=ds4w.weight)
+    assert counts == {"matrix": 50, "d_matrix": 50, "dd_matrix": 50}
+    assert series.modified(ts[7]).shape == (3, 3)
+    # a Hessian needs the connection only, not the curvature
+    counts.update(dict.fromkeys(counts, 0))
+    hessian_scalar(g, ds4w.weight, spec.p0)
+    assert counts == {"matrix": 1, "d_matrix": 1, "dd_matrix": 0}
+
+
+def test_whole_grid_state_matches_pointwise_dense_output(ds4w):
+    spec = ds4w.geodesic("comoving")
+    geo = integrate_geodesic(ds4w.metric, spec.p0, spec.v0, spec.span)
+    ts = np.linspace(geo.t0, geo.t1, 37)
+    xs, vs = geo.state(ts)
+    assert xs.shape == vs.shape == (37, 4)
+    for t, x, v in zip(ts, xs, vs):
+        assert np.max(np.abs(x - geo.point(t))) <= 1e-14
+        assert np.max(np.abs(v - geo.velocity(t))) <= 1e-14
+    x, v = geo.state(ts[3])
+    assert np.array_equal(x, geo.point(ts[3]))
+    assert np.array_equal(v, geo.velocity(ts[3]))

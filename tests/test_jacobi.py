@@ -427,3 +427,21 @@ def test_mean_curvature_weighted_de_sitter_slice(ds4w):
     K = 2.0
     expected = 3.0 * np.tanh(rep.ts) - K * np.sinh(2.0 * K * rep.ts)
     assert np.max(np.abs(rep.H_f - expected)) < 1e-7
+
+
+@pytest.mark.parametrize("rbar, theta1", [(np.zeros((2, 2)), -2.0),
+                                          (np.zeros((2, 2)), -4.0),
+                                          (np.eye(2), -2.0),
+                                          (np.zeros((2, 2)), 2.0)])
+def test_null_focal_theta1_is_the_full_grid_first_sample(rbar, theta1):
+    # theta1 is read at t1 alone; it must equal, bitwise, the first sample of
+    # the expansion on the full default kinematics grid
+    pad = 1.5 * 2.0 / abs(theta1)
+    span = (0.0, pad) if theta1 < 0 else (0.0, -pad)
+    traj = integrate_jacobi(rbar, np.eye(2), (theta1 / 2.0) * np.eye(2), span)
+    fprime = lambda t: 0.3 + 0.1 * t
+    grid = np.linspace(traj.t0, traj.t1, max(400, len(traj.ts)))
+    for fp in (None, fprime, np.array([fprime(t) for t in grid])):
+        full = kinematics(traj, fprime=fp)
+        rep = verify_null_focal_bound(rbar, theta1, 0.0, 4, fprime=fp)
+        assert rep.theta1 == float(full.theta_f[0])

@@ -199,3 +199,84 @@ def test_scalar_field_finite_difference_fallback():
     hess = f.coordinate_hessian(p)
     assert abs(hess[0, 1] - math.cos(0.4) * 2.6) < 1e-5
     assert abs(hess[1, 1] - 2.0 * math.sin(0.4)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the single validation path
+# ---------------------------------------------------------------------------
+
+BAD_METRICS = {
+    "nan": np.array([[-1.0, np.nan], [np.nan, 1.0]]),
+    "nan_upper_only": np.array([[-1.0, np.nan], [0.0, 1.0]]),
+    "inf": np.array([[-1.0, 0.0], [0.0, np.inf]]),
+    "inf_off_diagonal": np.array([[-1.0, np.inf], [0.0, 1.0]]),
+    "non_symmetric": np.array([[-1.0, 0.1], [0.3, 1.0]]),
+    "two_negative": np.diag([-1.0, -2.0]),
+    "tiny_eigenvalue": np.diag([-1.0, 1e-13]),
+}
+ETA2 = np.diag([-1.0, 1.0])
+
+
+def _flat_derivatives(metric_matrix):
+    """A 2D metric field with zero derivative callbacks, so the geodesic
+    equation stays solvable whatever the matrix is."""
+    return MetricField(dim=2, matrix=metric_matrix,
+                       d_matrix=lambda p: np.zeros((2, 2, 2)),
+                       dd_matrix=lambda p: np.zeros((2, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_METRICS))
+def test_every_pointwise_entry_rejects_bad_metrics(kind):
+    from lorentzlab import integrate_geodesic
+    from lorentzlab.manifold import local_geometry
+    bad = BAD_METRICS[kind]
+    g = _flat_derivatives(lambda p: bad)
+    p = np.zeros(2)
+    f = linear_time_f(1.0)
+    if kind.startswith(("nan", "inf")):
+        with pytest.raises(SingularMetric, match="not finite"):
+            g.at(p)
+    for call in (lambda: g.at(p), lambda: g.inverse_at(p),
+                 lambda: local_geometry(g, p), lambda: riemann(g, p),
+                 lambda: hessian_scalar(g, f, p),
+                 lambda: integrate_geodesic(g, p, [1.0, 0.0], (0.0, 1.0))):
+        with pytest.raises(SingularMetric):
+            call()
+    # the stacked check behind the geodesic norm check names the bad row
+    half_bad = _flat_derivatives(lambda p: bad if p[0] > 0.5 else ETA2)
+    stack = np.array([[0.0, 0.0], [0.4, 0.0], [0.7, 0.0], [0.9, 0.0]])
+    assert np.array_equal(half_bad.at(stack[:2]), np.array([ETA2, ETA2]))
+    with pytest.raises(SingularMetric, match=r"\[0\.7 0\. *\]"):
+        half_bad.at(stack)
+
+
+@pytest.mark.parametrize("kind", ["non_symmetric", "two_negative",
+                                  "tiny_eigenvalue"])
+def test_geodesic_norm_check_catches_signature_lost_partway(kind):
+    # Lorentzian at the start, so only the batched check along the
+    # trajectory can see the metric change
+    from lorentzlab import integrate_geodesic
+    bad = BAD_METRICS[kind]
+    g = _flat_derivatives(lambda p: bad if p[0] > 1.0 else ETA2)
+    with pytest.raises(SingularMetric):
+        integrate_geodesic(g, np.zeros(2), [1.0, 0.0], (0.0, 2.0))
+    fine = integrate_geodesic(g, np.zeros(2), [1.0, 0.0], (0.0, 0.9))
+    assert fine.stats["norm_drift"] == 0.0
+
+
+def test_stacked_check_reports_domain_violation(quartic_2d):
+    pts = np.array([[1.0, 0.0], [0.01, 0.0]])
+    with pytest.raises(DomainViolation):
+        quartic_2d.at(pts)
+    assert quartic_2d.at(pts[:1]).shape == (1, 2, 2)
+
+
+def test_inverse_conditioning_from_eigenvalues():
+    # |eigenvalues| 1e-11 and 1e2 pass the signature check but fail the
+    # conditioning test min|lambda| >= 1e-12 max|lambda|
+    g = MetricField(dim=2, matrix=lambda p: np.diag([-1e2, 1e-11]))
+    assert g.at(np.zeros(2))[1, 1] == 1e-11
+    with pytest.raises(SingularMetric, match="numerically singular"):
+        g.inverse_at(np.zeros(2))
+    ok = MetricField(dim=2, matrix=lambda p: np.diag([-2.0, 4.0]))
+    assert np.array_equal(ok.inverse_at(np.zeros(2)), np.diag([-0.5, 0.25]))

@@ -174,3 +174,31 @@ def test_manifest_serializes_to_json():
     back = json.loads(text)
     assert back["name"] == "de_sitter4"
     assert "einstein" in back["manifest"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_curvature_and_hessian_match_finite_difference_copy(name):
+    # the analytic callbacks against central differences of the metric and
+    # weight alone, at the relative tolerance of the benchmark's scan
+    import dataclasses
+    from lorentzlab.manifold import local_geometry
+    scen = BUILTIN_SCENARIOS[name]()
+    fd_metric = dataclasses.replace(scen.metric, d_matrix=None, dd_matrix=None)
+    weights = [scen.weight, sinh_squared_f(1.0)]
+    fd_weights = [dataclasses.replace(f, grad=None, hess=None) for f in weights]
+    rng = np.random.default_rng(2718)
+    n = scen.metric.dim
+    for _ in range(12):
+        p = np.empty(n)
+        p[0] = rng.uniform(-1.2, 1.2) if "frw" in name else rng.uniform(-2.0, 2.0)
+        if scen.metric.domain is not None:
+            p[1:-1] = rng.uniform(0.4, math.pi - 0.4, n - 2)
+            p[-1] = rng.uniform(0.0, 2.0 * math.pi)
+        else:
+            p[1:] = rng.uniform(-3.0, 3.0, n - 1)
+        exact, fd = local_geometry(scen.metric, p), local_geometry(fd_metric, p)
+        pairs = [(exact.riemann, fd.riemann)] + [
+            (exact.hessian(f), fd.hessian(f_fd))
+            for f, f_fd in zip(weights, fd_weights)]
+        for a, b in pairs:
+            assert np.max(np.abs(a - b)) <= 3e-3 * max(1.0, np.max(np.abs(a))), p
