@@ -35,6 +35,10 @@ DEFAULTS = {
     "out_dir": "lorentzlab_out",
 }
 
+# largest float, and the most timelike directions sampled per point
+FLOAT_MAX = sys.float_info.max
+MAX_TIMELIKE = 10_000
+
 CSV_COLUMNS = ("t", "theta_f", "theta", "det_A", "tr_sigma2", "tr_omega2",
                "residual", "mask")
 
@@ -62,13 +66,31 @@ class CheckResult:
     series: dict = field(default_factory=dict)
 
 
+def _positive(val, upper=FLOAT_MAX) -> bool:
+    """A JSON number, not a bool (bools are ints to Python), in (0, upper)."""
+    return type(val) in (int, float) and 0 < val < upper
+
+
+def _section(raw, key, violations) -> dict:
+    """DEFAULTS[key] updated by the object raw[key]; anything else, and an
+    unknown field in it, is a violation."""
+    given = raw.get(key, {})
+    if not isinstance(given, dict):
+        violations.append(f"{key!r} must be an object")
+        given = {}
+    violations.extend(f"unknown field {key}.{name}" for name in given
+                      if name not in DEFAULTS[key])
+    return {**DEFAULTS[key], **given}
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate JSON config text; defaults are filled and echoed back."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                         f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError names the line; too deep a nesting and an
+        # integer of over 4300 digits are the other documents json rejects
+        raise ParseError(f"cannot read the config as JSON: {exc}") from exc
     violations = []
     if not isinstance(raw, dict):
         raise ValidationError(["top level must be an object"])
@@ -89,22 +111,28 @@ def parse_config(text: str) -> RunConfig:
             violations.append(f"unknown checks keyword {checks!r}")
     elif isinstance(checks, list):
         violations += [f"unknown check identifier {c!r}" for c in checks
-                       if c not in CHECKS]
+                       if not isinstance(c, str) or c not in CHECKS]
     else:
         violations.append("'checks' must be a list or 'default'/'all'")
 
-    # JSON numbers only: bools are ints to Python, and counts take no floats
-    tol = {**DEFAULTS["tolerances"], **raw.get("tolerances", {})}
-    violations += [f"tolerance {key!r} must be positive" for key, val in tol.items()
-                   if type(val) not in (int, float) or val <= 0]
-    samples = {**DEFAULTS["samples"], **raw.get("samples", {})}
-    if type(samples["n_timelike"]) is not int or samples["n_timelike"] < 1:
-        violations.append("samples.n_timelike must be an integer >= 1")
-    if type(samples["chi_max"]) not in (int, float) or samples["chi_max"] <= 0:
+    tol, samples = (_section(raw, key, violations)
+                    for key in ("tolerances", "samples"))
+    for key in DEFAULTS["tolerances"]:
+        rtol = key == "rtol"
+        if not _positive(tol[key], 1.0 if rtol else FLOAT_MAX):
+            violations.append(f"tolerance {key!r} must be positive"
+                              + (" and below 1" if rtol else ""))
+    if (type(samples["n_timelike"]) is not int
+            or not 1 <= samples["n_timelike"] <= MAX_TIMELIKE):
+        violations.append(f"samples.n_timelike must be an integer in "
+                          f"[1, {MAX_TIMELIKE}]")
+    if not _positive(samples["chi_max"]):
         violations.append("samples.chi_max must be positive")
     seed = raw.get("seed", DEFAULTS["seed"])
     if type(seed) is not int or seed < 0:
         violations.append("seed must be a nonnegative integer")
+    if not isinstance(raw.get("out_dir", ""), str):
+        violations.append("out_dir must be a string")
     if violations:
         raise ValidationError(violations)
 
@@ -144,10 +172,6 @@ def _result(name, ok, summary, series=None) -> CheckResult:
     """The check's result; ok is a verdict, or a status such as "SKIP"."""
     status = ok if isinstance(ok, str) else ("PASS" if ok else "FAIL")
     return CheckResult(name, status, summary, TAGS[name], series or {})
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _diag_series(diag, residual_ts=None, residual=None):
@@ -403,14 +427,11 @@ CHECKS = {
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, series: dict):
+    """One row per sample: floats in shortest round-trip form, mask as 0/1."""
     lines = [",".join(CSV_COLUMNS)]
-    length = len(series["t"])
-    for i in range(length):
-        row = []
-        for col in CSV_COLUMNS:
-            val = series[col][i]
-            row.append(str(int(val)) if col == "mask" else _fmt(val))
-        lines.append(",".join(row))
+    for row in zip(*(series[col] for col in CSV_COLUMNS)):
+        lines.append(",".join(str(int(val)) if col == "mask" else repr(float(val))
+                              for col, val in zip(CSV_COLUMNS, row)))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import root
 
-from .congruence import (GeodesicTrajectory, FrameField, endomorphism_series,
+from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
                          integrate_geodesic, parallel_frame,
                          weighted_endomorphism)
 from .errors import LorentzLabError, NoMaximalGeodesic, OutsideUniquenessRegion
@@ -284,8 +284,8 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     n = g.dim
     geo, rho = _shoot_to_target(g, apex, q, rtol, atol)
     frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    series = endomorphism_series(g, geo, frame)
-    traj = integrate_jacobi(series, np.zeros((n - 1, n - 1)), np.eye(n - 1),
+    traj = integrate_jacobi(EndomorphismSeries(g, geo, frame),
+                            np.zeros((n - 1, n - 1)), np.eye(n - 1),
                             (0.0, rho), rtol=rtol, atol=atol)
     A = traj.A(rho)
     theta = float(np.trace(traj.Aprime(rho) @ np.linalg.inv(A)))

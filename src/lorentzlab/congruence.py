@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import manifold
-from .errors import FrameDegeneracy, IntegratorFailure, ZeroVector
+from .errors import (DomainViolation, FrameDegeneracy, IntegratorFailure,
+                     ZeroVector)
 from .manifold import (LocalGeometry, MetricField, ScalarField, christoffel,
                        christoffel_unchecked, local_geometry)
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, ode_solve
@@ -155,7 +155,8 @@ class FrameField:
             lo, hi = (a, b) if a <= b else (b, a)
             if lo - 1e-12 <= t <= hi + 1e-12:
                 return sol
-        raise ValueError(f"t={t} outside frame range")
+        raise DomainViolation(f"t={t} outside the geodesic's span "
+                              f"[{self.geodesic.t0}, {self.geodesic.t1}]")
 
     def _stack(self, t):
         return self._segment_for(t).sol(t).reshape(-1, self.geodesic.metric.dim)
@@ -328,24 +329,18 @@ def modified_endomorphism(g: MetricField, f: ScalarField,
     closes with matching coefficients in both cases.
     """
     x, v = geo.state(t)
-    return weighted_endomorphism(local_geometry(g, x), f, v, frame.vectors(t))
+    E = frame.vectors(t)  # first: off the geodesic's span it raises
+    return weighted_endomorphism(local_geometry(g, x), f, v, E)
 
 
 def weighted_endomorphism(geom: LocalGeometry, f: ScalarField, v, E) -> np.ndarray:
-    """R_f on the frame rows E, from the geometry geom at c(t) and v = c'(t)."""
-    return _weighted(*_endomorphism_terms(geom, f, v, E))
-
-
-def _endomorphism_terms(geom, f, v, E):
-    """R on the frame rows E, Hess f(v, v) and (f o c)' = df(v)."""
-    return (geom.curvature_matrix(v, E, E), float(v @ geom.hessian(f) @ v),
-            float(f.gradient(geom.p) @ v))
-
-
-def _weighted(R, hess_cc, fprime):
-    """R_f = R + (Hess f(c',c')/d + ((f o c)'/d)^2) E, d = size of R."""
-    d = R.shape[-1]
-    return R + (hess_cc / d + (fprime / d) ** 2) * np.eye(d)
+    """R_f on the frame rows E, from the geometry geom at c(t) and v = c'(t):
+    R + (Hess f(v, v)/d + (df(v)/d)^2) E, d = the number of rows."""
+    d = len(E)
+    hess_cc = float(v @ geom.hessian(f) @ v)
+    fprime = float(f.gradient(geom.p) @ v)
+    return (geom.curvature_matrix(v, E, E)
+            + (hess_cc / d + (fprime / d) ** 2) * np.eye(d))
 
 
 def quotient_invariance_residual(g: MetricField, geo: GeodesicTrajectory,
@@ -364,52 +359,25 @@ def quotient_invariance_residual(g: MetricField, geo: GeodesicTrajectory,
     return float(np.max(np.abs(shifted - base)))
 
 
+@dataclass
 class EndomorphismSeries:
-    """Sampled (and spline-interpolated) R(t), R_f(t) along a geodesic.
+    """R(t) and R_f(t) along a geodesic, evaluated where they are asked for.
 
-    Calling the series evaluates R(t).  Given the samples of (f o c)' and
-    Hess f(c', c'), it also splines them, and .modified(t) evaluates R_f(t);
-    without them there are no weighted splines and .modified(t) is R(t).
+    A view of (g, geo, frame, f) that stores no samples: calling it is
+    curvature_endomorphism at t, and .modified(t) is modified_endomorphism,
+    or R(t) when f is None.  A parameter outside the geodesic's span raises
+    DomainViolation from the frame.
     """
 
-    def __init__(self, ts, R_samples, fprime=None, hess_cc=None):
-        self.ts = np.asarray(ts, dtype=float)
-        self.R_samples = np.asarray(R_samples, dtype=float)
-        self.dim = self.R_samples.shape[-1]
-        self._rspline = CubicSpline(self.ts, self.R_samples, axis=0)
-        self._fprime_spline = (None if fprime is None
-                               else CubicSpline(self.ts, fprime))
-        self._hess_spline = (None if hess_cc is None
-                             else CubicSpline(self.ts, hess_cc))
+    g: MetricField
+    geo: GeodesicTrajectory
+    frame: FrameField
+    f: ScalarField | None = None
 
-    def __call__(self, t):
-        return self._rspline(t)
+    def __call__(self, t) -> np.ndarray:
+        return curvature_endomorphism(self.g, self.geo, self.frame, t)
 
-    def modified(self, t):
-        hess, fprime = (0.0 if s is None else float(s(t))
-                        for s in (self._hess_spline, self._fprime_spline))
-        return _weighted(self._rspline(t), hess, fprime)
-
-    def symmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.R_samples
-                                   - np.swapaxes(self.R_samples, 1, 2))))
-
-
-def endomorphism_series(g: MetricField, geo: GeodesicTrajectory,
-                        frame: FrameField, ts=None,
-                        f: ScalarField | None = None) -> EndomorphismSeries:
-    """R(t) sampled on ts, one LocalGeometry per sample, with the weighted
-    scalar series when f is given."""
-    if ts is None:
-        ts = np.linspace(geo.t0, geo.t1, max(400, 4 * len(geo.ts)))
-    ts = np.asarray(ts, dtype=float)
-    samples = []
-    for t, x, v in zip(ts, *geo.state(ts)):
-        geom = local_geometry(g, x)
-        E = frame.vectors(t)
-        samples.append(geom.curvature_matrix(v, E, E) if f is None
-                       else _endomorphism_terms(geom, f, v, E))
-    if f is None:
-        return EndomorphismSeries(ts, samples)
-    R, hess_cc, fprime = zip(*samples)
-    return EndomorphismSeries(ts, R, fprime=fprime, hess_cc=hess_cc)
+    def modified(self, t) -> np.ndarray:
+        if self.f is None:
+            return self(t)
+        return modified_endomorphism(self.g, self.f, self.geo, self.frame, t)

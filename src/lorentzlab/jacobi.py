@@ -45,11 +45,8 @@ def _as_matrix_source(R_source, k):
     if callable(R_source):
         return R_source
     val = np.asarray(R_source, dtype=float)
-    if val.ndim == 0:
-        mat = float(val) * np.eye(k)
-    else:
-        mat = val
-    return lambda t, _m=mat: _m
+    mat = float(val) * np.eye(k) if val.ndim == 0 else val
+    return lambda t: mat
 
 
 def _matrix_size(R_source, t):
@@ -125,8 +122,7 @@ def integrate_jacobi(R_source, A0, A0p, span, rtol=DEFAULT_RTOL,
 def jacobi_residual(traj: JacobiTrajectory, t, delta=1e-4) -> float:
     """|A'' + R A| via central differencing of the dense A'."""
     App = (traj.Aprime(t + delta) - traj.Aprime(t - delta)) / (2.0 * delta)
-    R = traj.R_source(t) if callable(traj.R_source) else traj.R_source
-    return float(np.max(np.abs(App + R @ traj.A(t))))
+    return float(np.max(np.abs(App + traj.R_source(t) @ traj.A(t))))
 
 
 def lagrange_defect(traj: JacobiTrajectory, t) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
-                         endomorphism_series, integrate_geodesic, parallel_frame)
+                         integrate_geodesic, parallel_frame)
 from .jacobi import (CongruenceDiagnostics, JacobiTrajectory, integrate_jacobi,
                      kinematics)
 from .manifold import MetricField, ScalarField, local_geometry
@@ -44,18 +44,20 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
     """
     geo = integrate_geodesic(g, p0, v0, span, rtol=rtol, atol=atol)
     frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    series = endomorphism_series(g, geo, frame, f=f)
+    series = EndomorphismSeries(g, geo, frame, f)
     k = frame.k
     if jacobi_init is None:
         A0, A0p = np.zeros((k, k)), np.eye(k)
     else:
         A0, A0p = jacobi_init
-    # exact pointwise (f o c)' rather than the series spline: spline error in
-    # steep weights would otherwise dominate the residual diagnostics
-    fprime = None if f is None else (
-        lambda t: float(f.gradient(geo.point(t)) @ geo.velocity(t)))
+
+    def fprime(t):
+        x, v = geo.state(t)
+        return float(f.gradient(x) @ v)
+
     traj, diag = run_synthetic_congruence(
-        series, k, A0, A0p, jacobi_span or geo.span, fprime=fprime,
+        series, k, A0, A0p, jacobi_span or geo.span,
+        fprime=None if f is None else fprime,
         diag_ts=diag_ts, rtol=rtol, atol=atol, diag_n=diag_n)
     return CongruenceRun(geodesic=geo, frame=frame, series=series,
                          trajectory=traj, diagnostics=diag)

@@ -11,6 +11,7 @@ where the chart is uniformly regular.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -568,12 +569,20 @@ BUILTIN_SCENARIOS = {
     "weighted_de_sitter_family4": _weighted_family,
 }
 
+# weight factories by config "type"; a parameter they do not take is an error
 WEIGHTS = {
-    "zero": lambda **kw: constant_scalar(0.0),
-    "constant": lambda c=0.0, **kw: constant_scalar(c),
-    "linear_time": lambda a=1.0, **kw: linear_time_f(a),
-    "sinh_squared": lambda K=2.0, **kw: sinh_squared_f(K),
+    "zero": lambda: constant_scalar(0.0),
+    "constant": lambda c=0.0: constant_scalar(c),
+    "linear_time": lambda a=1.0: linear_time_f(a),
+    "sinh_squared": lambda K=2.0: sinh_squared_f(K),
 }
+
+
+def _reject_unknown(given, allowed, what):
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what}(s) {unknown}; expected some of "
+                         f"{sorted(allowed)}")
 
 
 def scenario_from_config(source) -> Scenario:
@@ -582,6 +591,8 @@ def scenario_from_config(source) -> Scenario:
         if source not in BUILTIN_SCENARIOS:
             raise KeyError(f"unknown scenario {source!r}")
         return BUILTIN_SCENARIOS[source]()
+    _reject_unknown(source, ("builtin", "weight", "m", "k_bound"),
+                    "scenario field")
     builtin = source.get("builtin")
     if builtin not in BUILTIN_SCENARIOS:
         raise KeyError(f"unknown builtin {builtin!r}")
@@ -589,6 +600,8 @@ def scenario_from_config(source) -> Scenario:
     if "weight" in source:
         wcfg = dict(source["weight"])
         wtype = wcfg.pop("type")
+        _reject_unknown(wcfg, inspect.signature(WEIGHTS[wtype]).parameters,
+                        f"{wtype} weight parameter")
         scen.weight = WEIGHTS[wtype](**wcfg)
     if "m" in source or "k_bound" in source:
         m = source.get("m", "inf")

@@ -3,11 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentzlab import cli
 from lorentzlab.cli import (CHECKS, CSV_COLUMNS, load_config_source, main,
                             parse_config, run)
-from lorentzlab.errors import ParseError, ValidationError
+from lorentzlab.errors import ConfigError, ParseError, ValidationError
 
 
 def test_parse_minimal_config_fills_defaults():
@@ -188,6 +190,16 @@ def test_schwarz_check_fails_for_wrong_denominator(monkeypatch):
     ({"samples": {"n_timelike": "x"}}, "n_timelike"),
     ({"samples": {"n_timelike": 2.5}}, "n_timelike"),
     ({"seed": True}, "seed"),
+    pytest.param({"tolerances": 5}, "'tolerances' must be an object",
+                 id="tolerances_not_object"),
+    pytest.param({"samples": "x"}, "'samples' must be an object",
+                 id="samples_not_object"),
+    pytest.param({"checks": [["a"]]}, "unknown check identifier ['a']",
+                 id="check_not_string"),
+    pytest.param({"tolerances": {"rtol": 1e300}},
+                 "'rtol' must be positive and below 1", id="rtol_above_1"),
+    pytest.param({"samples": {"n_timelike": 10 ** 9}},
+                 "n_timelike must be an integer in", id="n_timelike_above_bound"),
 ])
 def test_mistyped_config_values_exit_2_at_parse_time(tmp_path, capsys, extra,
                                                      needle):
@@ -209,3 +221,73 @@ def test_scenario_construction_error_exits_2(tmp_path):
     report = (tmp_path / "o" / "report.txt").read_text()
     assert "FAILED scenario resolution: m must be a positive real" in report
     assert report.endswith("result: ERROR\n")
+
+
+def test_config_bounds_and_unknown_fields():
+    cfg = parse_config(json.dumps({
+        "scenario": "minkowski4", "tolerances": {"rtol": 0.5},
+        "samples": {"n_timelike": cli.MAX_TIMELIKE}}))
+    assert (cfg.rtol, cfg.n_timelike) == (0.5, cli.MAX_TIMELIKE)
+    for bad in ({"tolerances": {"rtol": 1}}, {"tolerances": {"atol": 1e400}},
+                {"tolerances": {"rtl": 1e-9}}, {"samples": {"n": 3}},
+                {"out_dir": 3}):
+        with pytest.raises(ValidationError):
+            parse_config(json.dumps({"scenario": "minkowski4", **bad}))
+
+
+@pytest.mark.parametrize("scenario, needle", [
+    ({"builtin": "de_sitter4", "Q": 1}, "unknown scenario field(s) ['Q']"),
+    ({"builtin": "de_sitter4", "weight": {"type": "sinh_squared", "Q": 1}},
+     "unknown sinh_squared weight parameter(s) ['Q']"),
+    ({"builtin": "de_sitter4", "weight": {"type": "zero", "c": 1.0}},
+     "unknown zero weight parameter(s) ['c']"),
+], ids=["scenario_field", "weight_parameter", "zero_weight_parameter"])
+def test_unknown_scenario_fields_exit_2(tmp_path, scenario, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scenario": scenario, "checks": ["schwarz_gap"]}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert f"FAILED scenario resolution: {needle}" in report
+    assert report.endswith("result: ERROR\n")
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"scenario": "minkowski4", "seed": ' + "1" * 5000 + "}",
+], ids=["deeper_than_the_decoder_goes", "integer_of_5000_digits"])
+def test_json_the_decoder_refuses_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_config(text)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
+
+
+def _near(keys):
+    """Objects whose fields are mostly the schema's own."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=3), _json
+                           | st.sampled_from([1e-9, 0.5, 1, 16, "default"]),
+                           max_size=len(keys) + 1)
+
+
+_config = _json | st.fixed_dictionaries({}, optional={
+    "scenario": _json | st.sampled_from(sorted(cli.BUILTIN_SCENARIOS)),
+    "checks": _json | st.lists(st.sampled_from(sorted(CHECKS)) | _json),
+    "seed": _json, "out_dir": _json,
+    "tolerances": _json | _near(sorted(cli.DEFAULTS["tolerances"])),
+    "samples": _json | _near(sorted(cli.DEFAULTS["samples"]))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config)
+def test_parse_config_returns_a_config_or_raises_config_error(doc):
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(cfg, cli.RunConfig)
+    assert 0 < cfg.rtol < 1 and 1 <= cfg.n_timelike <= cli.MAX_TIMELIKE
+    json.dumps(cfg.echo)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lorentzlab import (BakryEmeryParams, INFINITE_M, constant_scalar,
-                        curvature_endomorphism, integrate_geodesic,
-                        modified_endomorphism, parallel_frame, sinh_squared_f)
+from lorentzlab import (BakryEmeryParams, EndomorphismSeries, INFINITE_M,
+                        constant_scalar, curvature_endomorphism,
+                        integrate_geodesic, integrate_jacobi,
+                        modified_endomorphism, parallel_frame,
+                        run_point_congruence, sinh_squared_f)
 from lorentzlab.congruence import geodesic_residual, quotient_invariance_residual
-from lorentzlab.errors import ZeroVector
+from lorentzlab.errors import DomainViolation, ZeroVector
 from lorentzlab.scenarios import linear_time_f
 
 
@@ -208,13 +210,38 @@ def test_modified_endomorphism(mink4, ds4):
 
 
 def test_endomorphism_series_symmetry(ds4w, ds4w_comoving_run):
-    series = ds4w_comoving_run.series
-    assert series.symmetry_residual() < 1e-7
-    # spline evaluation matches direct evaluation between nodes
     run = ds4w_comoving_run
-    t = 0.5 * (series.ts[10] + series.ts[11])
-    direct = curvature_endomorphism(ds4w.metric, run.geodesic, run.frame, t)
-    assert np.max(np.abs(series(t) - direct)) < 1e-9
+    series = run.series
+    ts = np.linspace(run.geodesic.t0, run.geodesic.t1, 41)
+    R = np.array([series(t) for t in ts])
+    assert np.max(np.abs(R - np.swapaxes(R, 1, 2))) < 1e-7
+    # the series is a view: it evaluates R and R_f where it is asked
+    t = 0.5 * (ts[10] + ts[11])
+    assert np.array_equal(series(t), curvature_endomorphism(
+        ds4w.metric, run.geodesic, run.frame, t))
+    assert np.array_equal(series.modified(t), modified_endomorphism(
+        ds4w.metric, ds4w.weight, run.geodesic, run.frame, t))
+
+
+def test_unweighted_series_modified_is_R(ds4w_comoving_run):
+    run = ds4w_comoving_run
+    plain = EndomorphismSeries(run.series.g, run.geodesic, run.frame)
+    assert np.array_equal(plain.modified(0.3), run.series(0.3))
+
+
+def test_series_outside_the_geodesic_span_is_domain_violation(frw4):
+    spec = frw4.geodesic("comoving")
+    with pytest.raises(DomainViolation):
+        run_point_congruence(frw4.metric, spec.p0, spec.v0, spec.span,
+                             f=frw4.weight, jacobi_span=(0.0, 3.5))
+    geo = integrate_geodesic(frw4.metric, spec.p0, spec.v0, spec.span)
+    series = EndomorphismSeries(frw4.metric, geo, parallel_frame(frw4.metric, geo),
+                                frw4.weight)
+    for t in (geo.t0 - 0.1, geo.t1 + 1e-9, 3.5):
+        for evaluate in (series, series.modified):
+            with pytest.raises(DomainViolation):
+                evaluate(t)
+    assert series(geo.t1).shape == (3, 3)
 
 
 def test_f_generic_consistency(mink4, ds4w, ds4w_comoving_run):
@@ -252,21 +279,31 @@ def _counting_metric(metric):
 
 
 def test_series_builds_the_geometry_once_per_sample(ds4w):
-    from lorentzlab.congruence import endomorphism_series
     from lorentzlab.manifold import hessian_scalar
     g, counts = _counting_metric(ds4w.metric)
     spec = ds4w.geodesic("comoving")
     geo = integrate_geodesic(g, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(g, geo)
-    ts = np.linspace(geo.t0, geo.t1, 50)
+    series = EndomorphismSeries(g, geo, frame, ds4w.weight)
     counts.update(dict.fromkeys(counts, 0))
-    series = endomorphism_series(g, geo, frame, ts=ts, f=ds4w.weight)
+    for t in np.linspace(geo.t0, geo.t1, 50):
+        assert series.modified(t).shape == (3, 3)
     assert counts == {"matrix": 50, "d_matrix": 50, "dd_matrix": 50}
-    assert series.modified(ts[7]).shape == (3, 3)
     # a Hessian needs the connection only, not the curvature
     counts.update(dict.fromkeys(counts, 0))
     hessian_scalar(g, ds4w.weight, spec.p0)
     assert counts == {"matrix": 1, "d_matrix": 1, "dd_matrix": 0}
+
+
+def test_jacobi_solve_evaluates_R_once_per_rhs_call(ds4w):
+    g, counts = _counting_metric(ds4w.metric)
+    spec = ds4w.geodesic("comoving")
+    geo = integrate_geodesic(g, spec.p0, spec.v0, spec.span)
+    frame = parallel_frame(g, geo)
+    counts.update(dict.fromkeys(counts, 0))
+    traj = integrate_jacobi(EndomorphismSeries(g, geo, frame),
+                            np.zeros((3, 3)), np.eye(3), geo.span)
+    assert counts["dd_matrix"] == traj._sol.nfev > 0
 
 
 def test_whole_grid_state_matches_pointwise_dense_output(ds4w):
