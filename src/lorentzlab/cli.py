@@ -237,9 +237,8 @@ def check_raychaudhuri(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
 def check_lagrange(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     spec, run = _comoving_run(scen, cfg, runs)
     traj = run.trajectory
-    defects = [jacobi.lagrange_defect(traj, t)
-               for t in np.linspace(traj.t0, traj.t1, 101)]
-    worst = max(defects)
+    worst = float(np.max(jacobi.lagrange_defect(
+        traj, np.linspace(traj.t0, traj.t1, 101))))
     return _result("lagrange_conservation", worst <= 1e-8,
                    f"max defect {worst:.3e} along {spec.label}")
 
@@ -518,19 +517,18 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = parse_config(load_config_source(args.config))
+        echo = parse_config(load_config_source(args.config)).echo
+        if args.out:
+            echo["out_dir"] = args.out
+        if args.seed is not None:
+            echo["seed"] = args.seed
+        if args.tol is not None:
+            echo["tolerances"]["residual"] = args.tol
+        # the overridden config passes the checks of a config file
+        cfg = parse_config(json.dumps(echo))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        cfg.out_dir = args.out
-        cfg.echo["out_dir"] = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.echo["seed"] = args.seed
-    if args.tol is not None:
-        cfg.residual_tol = args.tol
-        cfg.echo["tolerances"]["residual"] = args.tol
     return run(cfg)
 
 

@@ -58,9 +58,18 @@ def _matrix_size(R_source, t):
     return probe.shape[0]
 
 
+def _scalar_or_array(t, values):
+    """A float for a scalar parameter t, the array for an array of them."""
+    return float(values) if np.ndim(t) == 0 else values
+
+
 @dataclass
 class JacobiTrajectory:
-    """Dense matrix solution (A, A') of A'' + R A = 0."""
+    """Dense matrix solution (A, A') of A'' + R A = 0.
+
+    Every accessor takes one parameter or an array of them; an array costs
+    one dense evaluation and gives (N, k, k) stacks, or length-N arrays.
+    """
 
     k: int
     t0: float
@@ -70,17 +79,24 @@ class JacobiTrajectory:
     initial: dict
     _sol: object = field(repr=False, default=None)
 
+    def states(self, t):
+        """(A(t), A'(t)) from one dense evaluation."""
+        y = self._sol.sol(t).T
+        stack = y.reshape(y.shape[:-1] + (2, self.k, self.k))
+        return stack[..., 0, :, :], stack[..., 1, :, :]
+
     def A(self, t):
-        return self._sol.sol(t)[: self.k * self.k].reshape(self.k, self.k)
+        return self.states(t)[0]
 
     def Aprime(self, t):
-        return self._sol.sol(t)[self.k * self.k:].reshape(self.k, self.k)
+        return self.states(t)[1]
 
     def det_A(self, t):
-        return float(np.linalg.det(self.A(t)))
+        return _scalar_or_array(t, np.linalg.det(self.A(t)))
 
     def sigma_min(self, t):
-        return float(np.linalg.svd(self.A(t), compute_uv=False)[-1])
+        sv = np.linalg.svd(self.A(t), compute_uv=False)
+        return _scalar_or_array(t, sv[..., -1])
 
     def stacked_rank_margin(self, t):
         stacked = np.vstack([self.A(t), self.Aprime(t)])
@@ -125,11 +141,13 @@ def jacobi_residual(traj: JacobiTrajectory, t, delta=1e-4) -> float:
     return float(np.max(np.abs(App + traj.R_source(t) @ traj.A(t))))
 
 
-def lagrange_defect(traj: JacobiTrajectory, t) -> float:
+def lagrange_defect(traj: JacobiTrajectory, t):
     """Frobenius norm of (A')* A - A* A'; constant along any Jacobi tensor
-    and zero for Lagrange tensors."""
-    A, Ap = traj.A(t), traj.Aprime(t)
-    return float(np.linalg.norm(Ap.T @ A - A.T @ Ap))
+    and zero for Lagrange tensors.  An array of parameters gives the array
+    of defects from one dense evaluation."""
+    A, Ap = traj.states(t)
+    W = Ap.swapaxes(-1, -2) @ A - A.swapaxes(-1, -2) @ Ap
+    return _scalar_or_array(t, np.linalg.norm(W, axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +193,8 @@ def kinematics(traj: JacobiTrajectory, fprime=None, n=None, ts=None,
     fprime is (f o c)' as a callable or an array on the grid; n, when given,
     is the space-time dimension and is checked against the matrix size.
     Samples where A is numerically singular (or |theta_f| exceeds the
-    blow-up guard) are masked, not errors.
+    blow-up guard) are masked, not errors.  The whole grid is evaluated at
+    once: one dense evaluation, then stacked det, SVD and inverse.
     """
     k = traj.k
     if n is not None and k not in (n - 1, n - 2):
@@ -186,29 +205,23 @@ def kinematics(traj: JacobiTrajectory, fprime=None, n=None, ts=None,
     fp = _fprime_values(fprime, ts)
 
     N = len(ts)
-    B_f, omega, sigma = (np.full((N, k, k), np.nan) for _ in range(3))
-    theta, theta_f, tr_s2, tr_w2 = (np.full(N, np.nan) for _ in range(4))
-    det_A = np.empty(N)
-    mask = np.zeros(N, dtype=bool)
-
-    for i, t in enumerate(ts):
-        A, Ap = traj.A(t), traj.Aprime(t)
-        det_A[i] = np.linalg.det(A)
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= singular_rtol * max(sv[0], 1.0):
-            continue
-        B = Ap @ np.linalg.inv(A)
-        th = float(np.trace(B))
-        thf = th - fp[i]
-        if abs(thf) > THETA_BLOWUP:
-            continue
-        B_f[i] = Bf = B - (fp[i] / k) * np.eye(k)
-        theta[i], theta_f[i] = th, thf
-        omega[i] = 0.5 * (Bf - Bf.T)
-        sigma[i] = 0.5 * (Bf + Bf.T) - (thf / k) * np.eye(k)
-        tr_s2[i] = np.trace(sigma[i] @ sigma[i])
-        tr_w2[i] = np.trace(omega[i] @ omega[i])
-        mask[i] = True
+    A, Ap = traj.states(ts)
+    det_A = np.linalg.det(A)
+    sv = np.linalg.svd(A, compute_uv=False)
+    invertible = ~(sv[:, -1] <= singular_rtol * np.maximum(sv[:, 0], 1.0))
+    B = np.full((N, k, k), np.nan)
+    B[invertible] = Ap[invertible] @ np.linalg.inv(A[invertible])
+    theta = np.trace(B, axis1=1, axis2=2)
+    mask = invertible & ~(np.abs(theta - fp) > THETA_BLOWUP)
+    B[~mask], theta[~mask] = np.nan, np.nan
+    theta_f = theta - fp
+    eye = np.eye(k)
+    B_f = B - (fp / k)[:, None, None] * eye
+    omega = 0.5 * (B_f - B_f.swapaxes(1, 2))
+    sigma = (0.5 * (B_f + B_f.swapaxes(1, 2))
+             - (theta_f / k)[:, None, None] * eye)
+    tr_s2 = np.trace(sigma @ sigma, axis1=1, axis2=2)
+    tr_w2 = np.trace(omega @ omega, axis1=1, axis2=2)
 
     # tr(A' A^{-1}) = (det A)' / det A, checked where the grid is uniform
     logdet_res = np.full(N, np.nan)
@@ -318,14 +331,15 @@ def detect_conjugate(traj: JacobiTrajectory, n_grid=2000,
     bisection.  Even-multiplicity zeros leave no sign change and are caught
     by a smallest-singular-value dip below sv_accept, refined by scalar
     minimization; such zeros report the minimizer.  The initial zero of
-    from-a-point data is excluded.
+    from-a-point data is excluded.  The grid is scanned with whole-grid
+    det_A and sigma_min; the refinements evaluate one parameter at a time.
     """
     # scan in ascending order whatever the integration direction; the
     # from-a-point exclusion collar stays anchored at the initial parameter
     start = traj.t0
     a, b = sorted((traj.t0, traj.t1))
     ts = np.linspace(a, b, n_grid)
-    det = np.array([traj.det_A(t) for t in ts])
+    det = traj.det_A(ts)
     collar = max(4.0 * (b - a) / n_grid, 1e-6 * abs(b - a))
     initial_zero = np.linalg.norm(traj.A(start)) < 1e-12
 
@@ -344,7 +358,7 @@ def detect_conjugate(traj: JacobiTrajectory, n_grid=2000,
     # sigma_min below a loose trigger are refined; only refined minima below
     # sv_accept count as zeros, so the trigger just has to be wider than the
     # scan grid can miss.
-    sv = np.array([traj.sigma_min(t) for t in ts])
+    sv = traj.sigma_min(ts)
     scale = max(np.median(sv), 1e-30)
     trigger = max(sv_trigger_ratio * scale, 50.0 * scale / n_grid)
     for i in range(1, len(ts) - 1):
@@ -548,14 +562,14 @@ def asymptotic_lagrange(R_source, t1, s_list, eval_ts,
     U, V = _fundamental_solutions(R_source, _matrix_size(R_source, t1), t1,
                                   s_list[-1], rtol, atol)
 
+    U_t, V_t = U.A(eval_ts), V.A(eval_ts)
     values = {}
     for s in s_list:
         Vs = V.A(s)
         sv = np.linalg.svd(Vs, compute_uv=False)
         if sv[-1] < 1e-12 * max(sv[0], 1.0):
             raise ConjugatePointInRange(f"s = {s} is conjugate to t1 = {t1}")
-        shoot = np.linalg.solve(Vs, U.A(s))
-        values[s] = np.array([U.A(t) - V.A(t) @ shoot for t in eval_ts])
+        values[s] = U_t - V_t @ np.linalg.solve(Vs, U.A(s))
 
     cauchy = []
     for s_prev, s_next in zip(s_list[:-1], s_list[1:]):

@@ -26,7 +26,9 @@ point is checked once: LocalGeometry validates G on construction and takes
 the conditioning test of G^{-1} (min |eigenvalue| >= 1e-12 max |eigenvalue|)
 from the same eigenvalues.  It is the one source of Gamma, Riem, Ric and
 Hess f; christoffel, riemann, ricci, hessian_scalar and bakry_emery_ricci
-are views of it.
+are views of it.  It also takes an (N, n) stack of points: callbacks are
+still called once per row, and every contraction carries a leading row
+axis, so each row comes out bit for bit as its point alone would.
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ class MetricField:
         if not inside.all():
             raise DomainViolation(f"point {_first(p, inside)} outside "
                                   "coordinate domain")
-        g = self.matrix(p) if p.ndim == 1 else [self.matrix(x) for x in p]
-        G, eig = _lorentzian(np.asarray(g, dtype=float), p)
+        G, eig = _lorentzian(_rows(self.matrix, p), p)
         return p, G, eig
 
     def at(self, p) -> np.ndarray:
@@ -132,18 +133,13 @@ class MetricField:
     # -- derivatives -----------------------------------------------------
 
     def first_derivatives(self, p) -> np.ndarray:
-        """dg[c, a, b] = d_c g_ab."""
-        p = np.asarray(p, dtype=float)
-        if self.d_matrix is not None:
-            return np.asarray(self.d_matrix(p), dtype=float)
-        return _central_differences(self.matrix, p, self.fd_step)
+        """dg[c, a, b] = d_c g_ab; row by row for a stack of points."""
+        return _rows(self.d_matrix or _differences(self.matrix, self.fd_step), p)
 
     def second_derivatives(self, p) -> np.ndarray:
-        """ddg[c, d, a, b] = d_c d_d g_ab."""
-        p = np.asarray(p, dtype=float)
-        if self.dd_matrix is not None:
-            return np.asarray(self.dd_matrix(p), dtype=float)
-        return _central_differences(self.matrix, p, self.fd_step, second=True)
+        """ddg[c, d, a, b] = d_c d_d g_ab; row by row for a stack of points."""
+        return _rows(self.dd_matrix
+                     or _differences(self.matrix, self.fd_step, second=True), p)
 
     def inner(self, p, v, w) -> float:
         g = self.at(p)
@@ -168,17 +164,28 @@ class ScalarField:
         return v
 
     def gradient(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(p), dtype=float)
-        return _central_differences(self.value, p, self.fd_step)
+        """d_a f; row by row for a stack of points."""
+        return _rows(self.grad or _differences(self.value, self.fd_step), p)
 
     def coordinate_hessian(self, p) -> np.ndarray:
-        """Plain second partials d_a d_b f (no connection term)."""
-        p = np.asarray(p, dtype=float)
-        if self.hess is not None:
-            return np.asarray(self.hess(p), dtype=float)
-        return _central_differences(self.value, p, self.fd_step, second=True)
+        """Plain second partials d_a d_b f (no connection term); row by row
+        for a stack of points."""
+        return _rows(self.hess
+                     or _differences(self.value, self.fd_step, second=True), p)
+
+
+def _rows(fn, p) -> np.ndarray:
+    """fn at the point p, or stacked over the rows of a stack of points:
+    callbacks take one point, so a stack costs one call per row."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 1:
+        return np.asarray(fn(p), dtype=float)
+    return np.array([fn(x) for x in p], dtype=float)
+
+
+def _differences(fn, step, second=False):
+    """The finite-difference fallback for a missing derivative callback."""
+    return lambda p: _central_differences(fn, p, step, second)
 
 
 def _central_differences(fn, p, step, second=False) -> np.ndarray:
@@ -230,8 +237,8 @@ def _bracket(dg):
 
 
 def _christoffel_core(ginv, bracket):
-    # Gamma^a_bc = g^ad bracket_dbc / 2, after any leading derivative index
-    return 0.5 * np.einsum("ad,...dbc->...abc", ginv, bracket)
+    # Gamma^a_bc = g^ad bracket_dbc / 2, row by row for stacks
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, bracket)
 
 
 def _lorentzian(g, points):
@@ -264,20 +271,35 @@ def _first(points, ok):
     return np.atleast_2d(points)[np.argmin(ok)]
 
 
+def _dot(v, w, M=None):
+    """v @ M @ w, or v @ w, row by row for stacks.  One point and a stack go
+    through the same matmul, so a stacked row rounds as that point alone."""
+    v = v[..., None, :] if M is None else v[..., None, :] @ M
+    return (v @ w[..., :, None])[..., 0, 0]
+
+
 class LocalGeometry:
-    """The geometry of a metric at one chart point, validated once.
+    """The geometry of a metric at one chart point, or at each row of an
+    (N, n) stack of points, validated once.
 
     G, G_inv, dG[c, a, b] = d_c g_ab and gamma[a, b, c] = Gamma^a_{bc} are
     built on construction; riemann and ricci the first time one is read, so
     consumers of gamma alone (Hessians) never evaluate second derivatives.
+    For a stack every array gains a leading row axis, and each row is equal,
+    bit for bit, to the geometry of that point alone.  The stack is checked
+    by one validation that names the first offending row.  Its riemann holds
+    several (N, n, n, n, n) temporaries, so long grids are best taken in
+    blocks of rows.
     """
 
     def __init__(self, metric: MetricField, p):
         self.metric = metric
         self.p, self.G, eig = metric._checked(p)
         mag = np.abs(eig)  # for symmetric G, the singular values
-        if mag.min() < 1e-12 * mag.max():
-            raise SingularMetric(f"metric numerically singular at {self.p}")
+        ok = mag.min(axis=-1) >= 1e-12 * mag.max(axis=-1)
+        if not ok.all():
+            raise SingularMetric(
+                f"metric numerically singular at {_first(self.p, ok)}")
         self.G_inv = np.linalg.inv(self.G)
         self.dG = metric.first_derivatives(self.p)
         self.gamma = _christoffel_core(self.G_inv, _bracket(self.dG))
@@ -287,42 +309,45 @@ class LocalGeometry:
         """R[a, b, c, d] = R^a_{bcd}."""
         ginv, ddg = self.G_inv, self.metric.second_derivatives(self.p)
         # d_e g^{ad} = -g^{af} (d_e g_fh) g^{hd}
-        dginv = -np.einsum("af,efh,hd->ead", ginv, self.dG, ginv)
-        dgamma = (0.5 * np.einsum("ead,dbc->eabc", dginv, _bracket(self.dG))
-                  + _christoffel_core(ginv, _bracket(ddg)))
-        quad = np.einsum("ace,edb->abcd", self.gamma, self.gamma)
-        return (np.einsum("cadb->abcd", dgamma) - np.einsum("dacb->abcd", dgamma)
-                + quad - np.einsum("abdc->abcd", quad))
+        dginv = -np.einsum("...af,...efh,...hd->...ead", ginv, self.dG, ginv)
+        dgamma = (0.5 * np.einsum("...ead,...dbc->...eabc", dginv,
+                                  _bracket(self.dG))
+                  + _christoffel_core(ginv[..., None, :, :], _bracket(ddg)))
+        quad = np.einsum("...ace,...edb->...abcd", self.gamma, self.gamma)
+        return (np.einsum("...cadb->...abcd", dgamma)
+                - np.einsum("...dacb->...abcd", dgamma)
+                + quad - np.einsum("...abdc->...abcd", quad))
 
     @cached_property
     def ricci(self) -> np.ndarray:
         """Ric_bd = R^a_{bad}."""
-        ric = np.einsum("abad->bd", self.riemann)
-        return 0.5 * (ric + ric.T)
+        ric = np.einsum("...abad->...bd", self.riemann)
+        return 0.5 * (ric + ric.swapaxes(-1, -2))
 
     def hessian(self, f: ScalarField) -> np.ndarray:
         """(Hess f)_ab = d_a d_b f - Gamma^c_{ab} d_c f."""
         hess = (f.coordinate_hessian(self.p)
-                - np.einsum("cab,c->ab", self.gamma, f.gradient(self.p)))
-        return 0.5 * (hess + hess.T)
+                - np.einsum("...cab,...c->...ab", self.gamma, f.gradient(self.p)))
+        return 0.5 * (hess + hess.swapaxes(-1, -2))
 
-    def bakry_emery(self, f: ScalarField, params: BakryEmeryParams, v, w) -> float:
+    def bakry_emery(self, f: ScalarField, params: BakryEmeryParams, v, w):
         """Ric_f^m(v, w) = Ric(v, w) + Hess f(v, w) - (1/m) df(v) df(w).
 
-        The last term is omitted for m = INFINITE_M.
+        The last term is omitted for m = INFINITE_M.  On a stack, v and w
+        have one row per point and the result is an array.
         """
         v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
-        out = float(v @ (self.ricci + self.hessian(f)) @ w)
+        out = _dot(v, w, self.ricci + self.hessian(f))
         if params.finite:
             df = f.gradient(self.p)
-            out -= float(df @ v) * float(df @ w) / params.m
-        return out
+            out = out - _dot(df, v) * _dot(df, w) / params.m
+        return out if out.ndim else float(out)
 
     def curvature_matrix(self, v, E_in, E_out) -> np.ndarray:
         """M[j, i] = g(R(E_in_i, v) v, E_out_j) for the rows of E_in, E_out."""
         # (R(E_i, v) v)^a = R^a_{bcd} v^b E_i^c v^d
-        img = np.einsum("abcd,b,ic,d->ia", self.riemann, v, E_in, v)
-        return np.einsum("jb,ab,ia->ji", E_out, self.G, img)
+        img = np.einsum("...abcd,...b,...ic,...d->...ia", self.riemann, v, E_in, v)
+        return np.einsum("...jb,...ab,...ia->...ji", E_out, self.G, img)
 
 
 def local_geometry(g: MetricField, p) -> LocalGeometry:

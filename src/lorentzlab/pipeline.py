@@ -11,8 +11,21 @@ from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
                          integrate_geodesic, parallel_frame)
 from .jacobi import (CongruenceDiagnostics, JacobiTrajectory, integrate_jacobi,
                      kinematics)
-from .manifold import MetricField, ScalarField, local_geometry
+from .manifold import (INFINITE_M, BakryEmeryParams, LocalGeometry,
+                       MetricField, ScalarField)
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, stencil_derivative
+
+# rows per stacked LocalGeometry: its Riemann tensor holds several
+# (rows, n, n, n, n) temporaries, so a whole grid at once costs memory,
+# while blocks of 32 rows are as fast
+_BLOCK = 32
+
+
+def _blockwise(g, xs, vs, fn):
+    """fn(geometry, velocities) on consecutive blocks of rows of the points
+    xs and velocities vs, concatenated."""
+    return np.concatenate([fn(LocalGeometry(g, xs[i:i + _BLOCK]), vs[i:i + _BLOCK])
+                           for i in range(0, len(xs), _BLOCK)])
 
 
 @dataclass
@@ -25,11 +38,11 @@ class CongruenceRun:
 
     def ric_fm_series(self, g, f, params, ts=None):
         """Pointwise Ric_f^m(c', c') along the geodesic (independent of the
-        frame route)."""
+        frame route), from stacked geometry on blocks of the grid."""
         ts = self.diagnostics.ts if ts is None else ts
         xs, vs = self.geodesic.state(np.asarray(ts, dtype=float))
-        return np.array([local_geometry(g, x).bakry_emery(f, params, v, v)
-                         for x, v in zip(xs, vs)])
+        return _blockwise(g, xs, vs,
+                          lambda geom, v: geom.bakry_emery(f, params, v, v))
 
 
 def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = None,
@@ -50,15 +63,19 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
         A0, A0p = np.zeros((k, k)), np.eye(k)
     else:
         A0, A0p = jacobi_init
+    jacobi_span = jacobi_span or geo.span
+    if diag_ts is None:
+        diag_ts = np.linspace(jacobi_span[0], jacobi_span[1], diag_n)
 
-    def fprime(t):
-        x, v = geo.state(t)
-        return float(f.gradient(x) @ v)
+    fprime = None
+    if f is not None:
+        # (f o c)' = df(c') on the whole grid from one dense evaluation
+        xs, vs = geo.state(np.asarray(diag_ts, dtype=float))
+        fprime = np.einsum("ia,ia->i", f.gradient(xs), vs)
 
     traj, diag = run_synthetic_congruence(
-        series, k, A0, A0p, jacobi_span or geo.span,
-        fprime=None if f is None else fprime,
-        diag_ts=diag_ts, rtol=rtol, atol=atol, diag_n=diag_n)
+        series, k, A0, A0p, jacobi_span, fprime=fprime, diag_ts=diag_ts,
+        rtol=rtol, atol=atol)
     return CongruenceRun(geodesic=geo, frame=frame, series=series,
                          trajectory=traj, diagnostics=diag)
 
@@ -116,16 +133,18 @@ def mean_curvature_evolution(g: MetricField, f: ScalarField,
     run = run_point_congruence(g, spec.base_point, spec.normal, spec.span, f=f,
                                jacobi_init=(np.eye(len(shape)), shape),
                                rtol=rtol, atol=atol)
-    geo, traj, diag = run.geodesic, run.trajectory, run.diagnostics
+    diag = run.diagnostics
     H_f = diag.theta_f
     t_in, dH = stencil_derivative(diag.ts, H_f)
     sel = slice(2, -2)
-    rhs = np.empty(len(t_in))
-    for i, (t, x, v) in enumerate(zip(t_in, *geo.state(t_in))):
-        geom = local_geometry(g, x)
-        B = traj.Aprime(t) @ np.linalg.inv(traj.A(t))
-        rhs[i] = (-float(v @ geom.ricci @ v) - float(v @ geom.hessian(f) @ v)
-                  - float(np.sum(B * B)))
+    # B = A' A^{-1} = B_f + ((f o c)'/d) E, NaN on masked samples
+    k = diag.k
+    B = diag.B_f[sel] + (diag.fprime[sel] / k)[:, None, None] * np.eye(k)
+    # Ric(N, N) + Hess f(N, N) is Ric_f^m(N, N) for m = infinity
+    m_inf = BakryEmeryParams(INFINITE_M)
+    ric_hess = _blockwise(g, *run.geodesic.state(t_in),
+                          lambda geom, v: geom.bakry_emery(f, m_inf, v, v))
+    rhs = -ric_hess - np.sum(B * B, axis=(1, 2))
     residual = np.where(diag.mask[sel], dH - rhs, np.nan)
     return MeanCurvatureReport(ts=t_in, H_f=H_f[sel], residual=residual,
                                max_residual=float(np.nanmax(np.abs(residual))),

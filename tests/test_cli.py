@@ -291,3 +291,21 @@ def test_parse_config_returns_a_config_or_raises_config_error(doc):
     assert isinstance(cfg, cli.RunConfig)
     assert 0 < cfg.rtol < 1 and 1 <= cfg.n_timelike <= cli.MAX_TIMELIKE
     json.dumps(cfg.echo)
+
+
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--tol", "-1", "tolerance 'residual' must be positive"),
+    ("--tol", "nan", "tolerance 'residual' must be positive"),
+    ("--tol", "inf", "tolerance 'residual' must be positive"),
+    ("--seed", "-5", "seed must be a nonnegative integer"),
+])
+def test_overrides_pass_the_config_checks(tmp_path, capsys, flag, value,
+                                          needle):
+    path = tmp_path / "two_checks.json"
+    path.write_text(json.dumps({"scenario": "minkowski4", "checks": [
+        "raychaudhuri_residual", "schwarz_gap"]}))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and needle in err
+    assert not out.exists()

@@ -318,3 +318,18 @@ def test_whole_grid_state_matches_pointwise_dense_output(ds4w):
     x, v = geo.state(ts[3])
     assert np.array_equal(x, geo.point(ts[3]))
     assert np.array_equal(v, geo.velocity(ts[3]))
+
+
+def test_stacked_ric_fm_series_builds_the_geometry_once_per_point(ds4w):
+    from lorentzlab.manifold import local_geometry
+    g, counts = _counting_metric(ds4w.metric)
+    spec = ds4w.geodesic("comoving")
+    run = run_point_congruence(g, spec.p0, spec.v0, spec.span, f=ds4w.weight,
+                               diag_ts=np.linspace(-0.5, 2.0, 101))
+    ts = np.linspace(-0.5, 2.0, 77)  # two full blocks of 32 rows and a part
+    counts.update(dict.fromkeys(counts, 0))
+    ric = run.ric_fm_series(g, ds4w.weight, ds4w.params, ts)
+    assert counts == {"matrix": 77, "d_matrix": 77, "dd_matrix": 77}
+    pointwise = [local_geometry(g, x).bakry_emery(ds4w.weight, ds4w.params, v, v)
+                 for x, v in zip(*run.geodesic.state(ts))]
+    assert np.array_equal(ric, pointwise)

@@ -445,3 +445,98 @@ def test_null_focal_theta1_is_the_full_grid_first_sample(rbar, theta1):
         full = kinematics(traj, fprime=fp)
         rep = verify_null_focal_bound(rbar, theta1, 0.0, 4, fprime=fp)
         assert rep.theta1 == float(full.theta_f[0])
+
+
+# ---------------------------------------------------------------------------
+# whole-grid evaluation against the per-sample loop it replaced
+# ---------------------------------------------------------------------------
+
+# the geodesics of the benchmark's congruence sweep
+SWEEP_GEODESICS = [
+    ("minkowski2", "comoving"), ("minkowski4", "comoving"),
+    ("minkowski4", "null_x"), ("de_sitter4", "comoving"),
+    ("de_sitter4", "null_equatorial"), ("de_sitter4_weighted", "comoving"),
+    ("de_sitter4_weighted", "null_equatorial"),
+    ("einstein_static4", "comoving"), ("einstein_static4", "tilted"),
+    ("einstein_static4", "null_equatorial"), ("frw_toy4", "comoving"),
+]
+# fixed before batching: dense output evaluated on a whole grid and at one
+# parameter differ in the last bits (measured up to 1.6e-15 relative)
+LOOP_RTOL = 1e-12
+
+
+def _kinematics_loop(traj, fp, ts, singular_rtol=1e-12):
+    """kinematics' fields computed one sample at a time."""
+    k, N = traj.k, len(ts)
+    out = {name: np.full(N, np.nan)
+           for name in ("theta", "theta_f", "tr_sigma2", "tr_omega2")}
+    out.update({name: np.full((N, k, k), np.nan)
+                for name in ("B_f", "omega_f", "sigma_f")})
+    out["det_A"] = np.empty(N)
+    out["mask"] = np.zeros(N, dtype=bool)
+    for i, t in enumerate(ts):
+        A, Ap = traj.A(t), traj.Aprime(t)
+        out["det_A"][i] = np.linalg.det(A)
+        sv = np.linalg.svd(A, compute_uv=False)
+        if sv[-1] <= singular_rtol * max(sv[0], 1.0):
+            continue
+        B = Ap @ np.linalg.inv(A)
+        th = float(np.trace(B))
+        thf = th - fp[i]
+        if abs(thf) > 1e6:
+            continue
+        Bf = B - (fp[i] / k) * np.eye(k)
+        omega = 0.5 * (Bf - Bf.T)
+        sigma = 0.5 * (Bf + Bf.T) - (thf / k) * np.eye(k)
+        for name, val in (("theta", th), ("theta_f", thf), ("B_f", Bf),
+                          ("omega_f", omega), ("sigma_f", sigma),
+                          ("tr_sigma2", np.trace(sigma @ sigma)),
+                          ("tr_omega2", np.trace(omega @ omega)),
+                          ("mask", True)):
+            out[name][i] = val
+    return out
+
+
+def _assert_close_to_loop(batched, loop):
+    """The same NaNs, and |batched - loop| <= LOOP_RTOL max(1, |loop|)."""
+    batched, loop = np.asarray(batched, dtype=float), np.asarray(loop, dtype=float)
+    assert batched.shape == loop.shape
+    assert np.array_equal(np.isnan(batched), np.isnan(loop))
+    err = np.abs(np.nan_to_num(batched - loop))
+    assert np.all(err <= LOOP_RTOL * np.maximum(1.0, np.abs(np.nan_to_num(loop))))
+
+
+@pytest.mark.parametrize("name, label", SWEEP_GEODESICS)
+def test_whole_grid_jacobi_evaluation_matches_the_sample_loop(name, label):
+    from lorentzlab.scenarios import BUILTIN_SCENARIOS
+    scen = BUILTIN_SCENARIOS[name]()
+    spec = scen.geodesic(label)
+    run = run_point_congruence(scen.metric, spec.p0, spec.v0, spec.span,
+                               f=scen.weight)
+    traj, diag, geo = run.trajectory, run.diagnostics, run.geodesic
+    fprime = [float(scen.weight.gradient(geo.point(t)) @ geo.velocity(t))
+              for t in diag.ts]
+    _assert_close_to_loop(diag.fprime, fprime)
+    loop = _kinematics_loop(traj, diag.fprime, diag.ts)
+    assert np.array_equal(diag.mask, loop["mask"])
+    for field_name, values in loop.items():
+        _assert_close_to_loop(getattr(diag, field_name), values)
+    # detect_conjugate's scan grid, and check_lagrange's defects
+    ts = np.linspace(*sorted(traj.span), 2000)
+    for method in (traj.det_A, traj.sigma_min,
+                   lambda t: lagrange_defect(traj, t)):
+        _assert_close_to_loop(method(ts), [method(t) for t in ts])
+    assert isinstance(traj.det_A(ts[5]), float)
+    assert isinstance(lagrange_defect(traj, ts[5]), float)
+
+
+def test_states_stacks_A_and_Aprime():
+    traj = integrate_jacobi(np.diag([1.0, 4.0, 0.0]), Z3, I3, (0.0, 2.0),
+                            **TIGHT)
+    ts = np.linspace(0.0, 2.0, 7)
+    A, Ap = traj.states(ts)
+    assert A.shape == Ap.shape == (7, 3, 3)
+    exact = np.array([np.diag([np.sin(t), np.sin(2 * t) / 2, t]) for t in ts])
+    assert np.max(np.abs(A - exact)) < 1e-9
+    assert np.array_equal(A[3], traj.A(ts[3]))
+    assert np.array_equal(Ap[3], traj.Aprime(ts[3]))

@@ -8,8 +8,9 @@ from lorentzlab import (INFINITE_M, BakryEmeryParams, bakry_emery_ricci,
                         hessian_scalar, ricci, riemann, riemann_lowered,
                         sinh_squared_f)
 from lorentzlab.errors import DomainViolation, SingularMetric, ZeroVector
-from lorentzlab.manifold import MetricField, ScalarField
-from lorentzlab.scenarios import equator_point, linear_time_f, warped_product
+from lorentzlab.manifold import LocalGeometry, MetricField, ScalarField
+from lorentzlab.scenarios import (BUILTIN_SCENARIOS, equator_point,
+                                  linear_time_f, warped_product)
 
 ORIGIN4 = np.zeros(4)
 
@@ -280,3 +281,55 @@ def test_inverse_conditioning_from_eigenvalues():
         g.inverse_at(np.zeros(2))
     ok = MetricField(dim=2, matrix=lambda p: np.diag([-2.0, 4.0]))
     assert np.array_equal(ok.inverse_at(np.zeros(2)), np.diag([-0.5, 0.25]))
+
+
+# ---------------------------------------------------------------------------
+# stacked geometry
+# ---------------------------------------------------------------------------
+
+def _chart_points(scen, rng, count):
+    """Seeded chart points away from the sphere poles."""
+    n = scen.metric.dim
+    pts = np.empty((count, n))
+    pts[:, 0] = rng.uniform(-1.2, 1.2, count)
+    if scen.metric.domain is not None:
+        pts[:, 1:-1] = rng.uniform(0.4, math.pi - 0.4, (count, n - 2))
+        pts[:, -1] = rng.uniform(0.0, 2.0 * math.pi, count)
+    else:
+        pts[:, 1:] = rng.uniform(-3.0, 3.0, (count, n - 1))
+    return pts
+
+
+@pytest.mark.parametrize("fd_only", [False, True], ids=["callbacks", "fd_only"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_stacked_geometry_equals_the_pointwise_loop(name, fd_only):
+    # bit for bit: a row of the stack runs the arithmetic of its point alone
+    import dataclasses
+    scen = BUILTIN_SCENARIOS[name]()
+    g, f = scen.metric, scen.weight
+    if fd_only:
+        g = dataclasses.replace(g, d_matrix=None, dd_matrix=None)
+        f = dataclasses.replace(f, grad=None, hess=None)
+    rng = np.random.default_rng(45)
+    pts = _chart_points(scen, rng, 45)
+    vs = rng.normal(size=pts.shape)
+    stacked = LocalGeometry(g, pts)
+    loop = [LocalGeometry(g, p) for p in pts]
+    assert np.array_equal(stacked.riemann, [geom.riemann for geom in loop])
+    assert np.array_equal(stacked.ricci, [geom.ricci for geom in loop])
+    assert np.array_equal(stacked.hessian(f), [geom.hessian(f) for geom in loop])
+    assert np.array_equal(stacked.bakry_emery(f, scen.params, vs, vs),
+                          [geom.bakry_emery(f, scen.params, v, v)
+                           for geom, v in zip(loop, vs)])
+
+
+@pytest.mark.parametrize("kind", ["non_symmetric", "two_negative",
+                                  "tiny_eigenvalue", "ill_conditioned"])
+def test_stacked_geometry_names_the_first_bad_row(kind):
+    # |eigenvalues| 1e-11 and 1e2 fail only the conditioning test
+    bad = BAD_METRICS.get(kind, np.diag([-1e2, 1e-11]))
+    g = _flat_derivatives(lambda p: bad if p[1] in (39.0, 45.0) else ETA2)
+    stack = np.column_stack([np.zeros(50), np.arange(50.0)])
+    with pytest.raises(SingularMetric, match=r"at \[ *0\. +39\. *\]"):
+        LocalGeometry(g, stack)
+    assert LocalGeometry(g, stack[:39]).G_inv.shape == (39, 2, 2)
