@@ -249,7 +249,7 @@ def check_trace_identity(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     a, b = run.trajectory.t0, run.trajectory.t1
     for t in np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 7):
         worst = max(worst, comparison.trace_identity_check(
-            scen.metric, scen.weight, scen.params, run.geodesic, run.frame, t))
+            scen.metric, scen.weight, scen.params, run.frame, t))
     return _result("trace_identity", worst <= 1e-6,
                    f"max residual {worst:.3e} (tol 1e-06)")
 
@@ -272,8 +272,7 @@ def check_f_generic(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     detail = []
     for label, expected in expectations.items():
         spec, run = _comoving_run(scen, cfg, runs, label=label)
-        rep = comparison.check_f_generic(scen.metric, scen.weight,
-                                         run.geodesic, run.frame)
+        rep = comparison.check_f_generic(scen.metric, scen.weight, run.frame)
         detail.append(f"{label}: holds={rep.holds}")
         ok = ok and rep.holds == expected
     return _result("check_f_generic", ok, "; ".join(detail))

@@ -132,17 +132,17 @@ class GenericConditionReport:
     max_norm: float
 
 
-def check_f_generic(g: MetricField, f: ScalarField, geo: GeodesicTrajectory,
-                    frame: FrameField, threshold=1e-9) -> GenericConditionReport:
-    """Does R_f(t) differ from zero somewhere along the geodesic?
+def check_f_generic(g: MetricField, f: ScalarField, frame: FrameField,
+                    threshold=1e-9) -> GenericConditionReport:
+    """Does R_f(t) differ from zero somewhere along the frame's geodesic?
 
     Returns the first witness parameter, or None when R_f vanishes on every
     sample to within threshold."""
     max_norm = 0.0
     witness = None
-    ts = np.linspace(geo.t0, geo.t1, 200)
-    for t, x, v in zip(ts, *geo.state(ts)):
-        Rf = weighted_endomorphism(local_geometry(g, x), f, v, frame.vectors(t))
+    ts = np.linspace(*frame.geodesic.span, 200)
+    for t, x, v, E in zip(ts, *frame.state(ts)):
+        Rf = weighted_endomorphism(local_geometry(g, x), f, v, E)
         nrm = float(np.max(np.abs(Rf)))
         max_norm = max(max_norm, nrm)
         if witness is None and nrm > threshold:
@@ -152,17 +152,17 @@ def check_f_generic(g: MetricField, f: ScalarField, geo: GeodesicTrajectory,
 
 
 def trace_identity_check(g: MetricField, f: ScalarField,
-                         params: BakryEmeryParams, geo: GeodesicTrajectory,
-                         frame: FrameField, t) -> float:
+                         params: BakryEmeryParams, frame: FrameField,
+                         t) -> float:
     """|tr R_f - Ric_f^m(c',c') - (1/d + 1/m)((f o c)')^2| at parameter t.
 
     The left side is assembled from the frame-based endomorphism, the right
     side from the pointwise curvature operations, so the two routes are
     independent."""
     d = frame.k
-    x, v = geo.state(t)
+    x, v, E = frame.state(t)
     geom = local_geometry(g, x)
-    lhs = float(np.trace(weighted_endomorphism(geom, f, v, frame.vectors(t))))
+    lhs = float(np.trace(weighted_endomorphism(geom, f, v, E)))
     fprime = float(f.gradient(x) @ v)
     rhs = geom.bakry_emery(f, params, v, v)
     coeff = 1.0 / d + (0.0 if not params.finite else 1.0 / params.m)
@@ -284,7 +284,8 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     n = g.dim
     geo, rho = _shoot_to_target(g, apex, q, rtol, atol)
     frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    traj = integrate_jacobi(EndomorphismSeries(g, geo, frame),
+    geo = frame.geodesic  # the joint solution, which every stage reads
+    traj = integrate_jacobi(EndomorphismSeries(g, frame),
                             np.zeros((n - 1, n - 1)), np.eye(n - 1),
                             (0.0, rho), rtol=rtol, atol=atol)
     A = traj.A(rho)

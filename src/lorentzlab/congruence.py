@@ -10,16 +10,16 @@ All endomorphisms are reported as matrices in these frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import manifold
-from .errors import (DomainViolation, FrameDegeneracy, IntegratorFailure,
-                     ZeroVector)
+from .errors import FrameDegeneracy, IntegratorFailure, ZeroVector
 from .manifold import (LocalGeometry, MetricField, ScalarField, christoffel,
                        christoffel_unchecked, local_geometry)
-from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, ode_solve
+from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, dense_in_span, join_dense,
+                       ode_solve)
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -27,47 +27,62 @@ NULL = "null"
 
 @dataclass
 class GeodesicTrajectory:
-    """An affinely parametrized geodesic with dense interpolation."""
+    """An affinely parametrized geodesic with dense interpolation, read at
+    one parameter or an array of them; off the span, DomainViolation."""
 
     metric: MetricField
     character: str
     norm: float
     t0: float
     t1: float
-    ts: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray
     stats: dict
     exited_domain: bool = False
-    _sol: object = field(default=None, repr=False)
+    _dense: object = field(default=None, repr=False)
+
+    def _evaluate(self, t):  # [c, c', rows...], a column per parameter
+        return dense_in_span(self._dense, self.span, t, "geodesic")
 
     def point(self, t):
-        return self._sol.sol(t)[: self.metric.dim]
+        return self._evaluate(t)[: self.metric.dim]
 
     def velocity(self, t):
-        return self._sol.sol(t)[self.metric.dim:]
+        return self._evaluate(t)[self.metric.dim: 2 * self.metric.dim]
 
     def state(self, t):
         """(c(t), c'(t)) from one dense evaluation; for an array of
         parameters, two arrays with one row per parameter."""
-        y = self._sol.sol(t)
+        y = self._evaluate(t)
         n = self.metric.dim
-        return np.ascontiguousarray(y[:n].T), np.ascontiguousarray(y[n:].T)
+        return (np.ascontiguousarray(y[:n].T),
+                np.ascontiguousarray(y[n: 2 * n].T))
 
     @property
     def span(self):
         return (self.t0, self.t1)
 
 
+def _transport_rhs(g: MetricField):
+    """y = [x, v, w_1, ...] moves by x' = v, v' = -Gamma(v, v) and
+    w_i' = -Gamma(v, w_i), all from one Christoffel evaluation; a bare
+    geodesic carries no rows w_i."""
+    n = g.dim
+
+    def rhs(t, y):
+        x, moving = y[:n], y[n:].reshape(-1, n)
+        gamma = christoffel_unchecked(g, x)
+        dmoving = -np.einsum("abc,b,ic->ia", gamma, moving[0], moving)
+        return np.concatenate([moving[0], dmoving.ravel()])
+    return rhs
+
+
 def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
-                       atol=DEFAULT_ATOL, normalize=True, n_samples=200) -> GeodesicTrajectory:
+                       atol=DEFAULT_ATOL, normalize=True) -> GeodesicTrajectory:
     """Solve c'' + Gamma(c', c') = 0 from (p0, v0) over span.
 
     Timelike initial velocities are rescaled to g(v, v) = -1 unless
     normalize=False.  If the trajectory exits the declared coordinate domain
     the partial trajectory is returned with exited_domain set.
     """
-    n = g.dim
     p0 = np.asarray(p0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if np.all(v0 == 0.0):
@@ -81,12 +96,6 @@ def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
         q = -1.0
     norm = 0.0 if character == NULL else q
 
-    def rhs(t, y):
-        x, v = y[:n], y[n:]
-        gamma = christoffel_unchecked(g, x)
-        acc = -np.einsum("abc,b,c->a", gamma, v, v)
-        return np.concatenate([v, acc])
-
     events = None
     if g.domain is not None:
         events = []
@@ -98,24 +107,23 @@ def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
                     ev.terminal = True
                     events.append(ev)
 
-    sol = ode_solve(rhs, span, np.concatenate([p0, v0]), rtol=rtol, atol=atol,
-                    events=events)
-    exited = sol.status == 1
-    t_end = sol.t[-1]
-    ts = np.linspace(span[0], t_end, max(n_samples, 2 * len(sol.t)))
-    states = sol.sol(ts)
+    sol = ode_solve(_transport_rhs(g), span, np.concatenate([p0, v0]),
+                    rtol=rtol, atol=atol, events=events)
     traj = GeodesicTrajectory(
-        metric=g, character=character, norm=norm, t0=span[0], t1=t_end,
-        ts=ts, points=states[:n].T.copy(), velocities=states[n:].T.copy(),
+        metric=g, character=character, norm=norm, t0=span[0], t1=sol.t[-1],
         stats={"nfev": sol.nfev, "n_steps": len(sol.t), "status": sol.status},
-        exited_domain=exited, _sol=sol)
+        exited_domain=sol.status == 1, _dense=sol.sol)
     _check_norm_conservation(traj)
     return traj
 
 
+_NORM_SAMPLES = 200  # least size of the norm check's uniform grid
+
+
 def _check_norm_conservation(traj: GeodesicTrajectory, tol=1e-8):
-    G = traj.metric.at(traj.points)
-    v = traj.velocities
+    x, v = traj.state(np.linspace(traj.t0, traj.t1,
+                                  max(_NORM_SAMPLES, 2 * traj.stats["n_steps"])))
+    G = traj.metric.at(x)
     worst = float(np.max(np.abs(np.einsum("ia,iab,ib->i", v, G, v) - traj.norm)))
     if not worst <= tol:
         raise IntegratorFailure(
@@ -137,60 +145,62 @@ def geodesic_residual(traj: GeodesicTrajectory, t, delta=1e-4) -> float:
 
 @dataclass
 class FrameField:
-    """Parallel frame along a geodesic.
+    """Parallel frame along a geodesic, solved together with it.
 
-    For timelike geodesics vectors(t) has n-1 rows spanning (c')^perp.  For
-    null geodesics it has n-2 spacelike rows representing the quotient
-    bundle, and null_partner(t) returns the auxiliary null vector nvec with
+    geodesic's dense output carries the stack after c and c', so state(t)
+    reads all three at once, at one parameter or an array of them.  For
+    timelike geodesics vectors(t) has n-1 rows spanning (c')^perp.  For null
+    geodesics it has n-2 spacelike rows representing the quotient bundle,
+    and null_partner(t) returns the auxiliary null vector nvec with
     g(nvec, beta') = -1 that completes the pseudo-orthonormal frame.
     """
 
     geodesic: GeodesicTrajectory
     k: int
     reorth_events: list
-    _segments: list = field(repr=False, default_factory=list)
 
-    def _segment_for(self, t):
-        for (a, b, sol) in self._segments:
-            lo, hi = (a, b) if a <= b else (b, a)
-            if lo - 1e-12 <= t <= hi + 1e-12:
-                return sol
-        raise DomainViolation(f"t={t} outside the geodesic's span "
-                              f"[{self.geodesic.t0}, {self.geodesic.t1}]")
+    def _rows(self, t):
+        """[c, c', stack...] at t as rows: (m, n), or (N, m, n) for N
+        parameters."""
+        y = np.ascontiguousarray(np.moveaxis(self.geodesic._evaluate(t), 0, -1))
+        return y.reshape(np.shape(t) + (-1, self.geodesic.metric.dim))
 
-    def _stack(self, t):
-        return self._segment_for(t).sol(t).reshape(-1, self.geodesic.metric.dim)
+    def state(self, t):
+        """(c(t), c'(t), E(t)), E with the k frame vectors as rows."""
+        rows = self._rows(t)
+        first = 3 if self.geodesic.character == NULL else 2
+        return rows[..., 0, :], rows[..., 1, :], rows[..., first:, :]
 
     def vectors(self, t) -> np.ndarray:
-        rows = self._stack(t)
-        return rows[1:] if self.geodesic.character == NULL else rows
+        return self.state(t)[2]
 
     def null_partner(self, t) -> np.ndarray:
         if self.geodesic.character != NULL:
             raise ValueError("null partner only exists along null geodesics")
-        return self._stack(t)[0]
+        return self._rows(t)[..., 2, :]
 
-    def gram_residual(self, t) -> float:
-        geo = self.geodesic
-        x, v = geo.state(t)
-        g = geo.metric.at(x)
-        E = self.vectors(t)
-        resid = np.max(np.abs(E @ g @ E.T - np.eye(self.k)))
-        resid = max(resid, np.max(np.abs(E @ g @ v)))
-        if geo.character == NULL:
-            nv = self.null_partner(t)
-            resid = max(resid, abs(float(nv @ g @ nv)),
-                        abs(float(nv @ g @ v) + 1.0),
-                        np.max(np.abs(E @ g @ nv)))
-        return float(resid)
+    def gram_residual(self, t):
+        """Largest deviation of the stack's inner products at t from
+        g(E_i, E_j) = delta_ij, g(E_i, c') = 0 and, for a null partner,
+        g(nvec, nvec) = 0, g(nvec, c') = -1."""
+        rows = self._rows(t)
+        v, S = rows[..., 1, :], rows[..., 2:, :]
+        GS = S @ self.geodesic.metric.at(rows[..., 0, :])
+        gram = GS @ S.swapaxes(-1, -2) - np.eye(S.shape[-2])
+        along = np.einsum("...ia,...a->...i", GS, v)
+        if self.geodesic.character == NULL:
+            gram[..., 0, 0] += 1.0
+            along[..., 0] += 1.0
+        resid = np.maximum(np.max(np.abs(gram), axis=(-2, -1)),
+                           np.max(np.abs(along), axis=-1))
+        return float(resid) if np.ndim(t) == 0 else resid
 
     def transport_residual(self, t, delta=1e-4) -> float:
         """|E' + Gamma(c', E)| via central differencing of the dense frame."""
-        geo = self.geodesic
-        E_dot = (self._stack(t + delta) - self._stack(t - delta)) / (2.0 * delta)
-        x, v = geo.state(t)
-        gamma = christoffel(geo.metric, x)
-        covariant = E_dot + np.einsum("abc,b,ic->ia", gamma, v, self._stack(t))
+        before, at, after = self._rows(np.array([t - delta, t, t + delta]))
+        E_dot = (after[2:] - before[2:]) / (2.0 * delta)
+        gamma = christoffel(self.geodesic.metric, at[0])
+        covariant = E_dot + np.einsum("abc,b,ic->ia", gamma, at[1], at[2:])
         return float(np.max(np.abs(covariant)))
 
 
@@ -217,49 +227,50 @@ def _gram_schmidt_spacelike(g, candidates, against, k, pivot_tol=1e-10):
     return chosen
 
 
-def _complete_frame(G, v, candidates, k, nvec=None):
-    """k spacelike g-orthonormal vectors from candidates, g-orthogonal to the
-    unit timelike v, or on a null geodesic to v and its partner nvec (which
-    then heads the returned stack)."""
-    if nvec is None:
-        def reduce(w):
-            # v unit timelike: w + g(w, v) v is g-orthogonal to v
-            return w + float(w @ G @ v) * v
-    else:
-        def reduce(w):
-            # remove v- and nvec-components using the dual pairing g(v, nvec) = -1
-            return w + float(w @ G @ nvec) * v + float(w @ G @ v) * nvec
-    E = np.array(_gram_schmidt_spacelike(G, candidates, [reduce], k))
-    return E if nvec is None else np.vstack([nvec, E])
-
-
-def _initial_frame(g: MetricField, p, v, character):
-    n = g.dim
-    G = g.at(p)
-    candidates = list(np.eye(n))
+def _orthonormal_rows(g: MetricField, character, rows, k):
+    """rows = [c, c', seeds...] with the seeds made a frame stack by
+    Gram-Schmidt; on a null geodesic the partner nvec, made from the first
+    seed by g(nvec, c') = -1 and g(nvec, nvec) = 0, heads it."""
+    x, v, seeds = rows[0], rows[1], rows[2:]
+    G = g.at(x)
     if character == TIMELIKE:
-        return _complete_frame(G, v, candidates, n - 1)
-    # null: build nvec from a unit timelike seed, then n-2 spacelike reps
-    eigval, eigvec = np.linalg.eigh(G)
-    tdir = eigvec[:, 0]
-    T = tdir / np.sqrt(-float(tdir @ G @ tdir))
-    a = float(T @ G @ v)
+        def reduce(w):  # v unit timelike: w + g(w, v) v is g-orthogonal to v
+            return w + float(w @ G @ v) * v
+        return np.vstack([x, v, *_gram_schmidt_spacelike(G, seeds, [reduce], k)])
+    a = float(seeds[0] @ G @ v)
     if abs(a) < 1e-12:
         raise FrameDegeneracy("degenerate null direction")
-    alpha = -1.0 / a
-    nvec = alpha * T + (alpha / (2.0 * a)) * v
-    return _complete_frame(G, v, candidates, n - 2, nvec)
+    nvec = seeds[0] / -a
+    nvec = nvec + 0.5 * float(nvec @ G @ nvec) * v
+
+    def reduce(w):  # remove the v- and nvec-parts by g(v, nvec) = -1
+        return w + float(w @ G @ nvec) * v + float(w @ G @ v) * nvec
+    return np.vstack([x, v, nvec,
+                      *_gram_schmidt_spacelike(G, seeds[1:], [reduce], k)])
+
+
+# The drift monitor reads the Gram residual at the ends of this many equal
+# pieces of the span.
+_MONITOR_INTERVALS = 32
+# The frame is solved at tolerances tighter than the geodesic's by this
+# factor: over a whole span in one solve, the 1e-9 Gram accuracy of the
+# transported rows needs it.  rtol stops at scipy's floor of 100 eps.
+_FRAME_TOL_FACTOR = 1e-3
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 def parallel_frame(g: MetricField, geo: GeodesicTrajectory,
-                   reorth_threshold=1e-6, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                   n_checks=32) -> FrameField:
-    """Propagate a frame by the parallel-transport ODE along geo.
+                   reorth_threshold=1e-6, rtol=DEFAULT_RTOL,
+                   atol=DEFAULT_ATOL) -> FrameField:
+    """Solve geo again from its start, with a parallel frame carried along.
 
-    The frame is built once at the start by Gram-Schmidt and then transported
+    The frame is built by Gram-Schmidt and transported with c and c' in one
+    solve over geo.span, at rtol and atol tightened by _FRAME_TOL_FACTOR,
     without re-orthogonalization, so transport error stays observable.  A
-    drift monitor re-orthogonalizes only when the Gram residual exceeds
-    reorth_threshold and records each such event.
+    drift monitor reads the Gram residual at 33 equally spaced nodes; where
+    it exceeds reorth_threshold, it records (t, residual) in reorth_events,
+    re-orthogonalizes and solves again from that node.  The frame's geodesic
+    is the joint dense output of the pieces.
     """
     n = g.dim
     k = n - 1 if geo.character == TIMELIKE else n - 2
@@ -267,69 +278,62 @@ def parallel_frame(g: MetricField, geo: GeodesicTrajectory,
         raise FrameDegeneracy(
             f"the normal bundle of a {geo.character} geodesic in dimension {n} "
             "has no spacelike frame")
-    stack0 = _initial_frame(g, geo.point(geo.t0), geo.velocity(geo.t0),
-                            geo.character)
+    x0, v0 = geo.state(geo.t0)
+    seeds = np.eye(n)
+    if geo.character == NULL:  # the partner comes from a timelike seed
+        seeds = np.vstack([np.linalg.eigh(g.at(x0))[1][:, 0], seeds])
+    y0 = _orthonormal_rows(g, geo.character, np.vstack([x0, v0, seeds]), k)
+    rhs, rtol = _transport_rhs(g), max(rtol * _FRAME_TOL_FACTOR, _RTOL_FLOOR)
+    nodes = np.linspace(geo.t0, geo.t1, _MONITOR_INTERVALS + 1)
+    events, pieces, nfev, start = [], [], 0, 0
+    while True:
+        sol = ode_solve(rhs, (nodes[start], geo.t1), y0.ravel(), rtol=rtol,
+                        atol=atol * _FRAME_TOL_FACTOR)
+        nfev += sol.nfev
+        piece = FrameField(replace(geo, _dense=sol.sol), k, [])
+        later = nodes[start + 1:]
+        drift = piece.gram_residual(later)
+        over = np.flatnonzero(drift > reorth_threshold)
+        if over.size:
+            events.append((float(later[over[0]]), float(drift[over[0]])))
+        if not over.size or over[0] == len(later) - 1:
+            pieces.append((sol.sol, geo.t1))
+            break
+        start += 1 + over[0]
+        pieces.append((sol.sol, nodes[start]))
+        y0 = _orthonormal_rows(g, geo.character, piece._rows(nodes[start]), k)
 
-    def rhs(t, y):
-        x, v = geo.state(t)
-        gamma = christoffel_unchecked(g, x)
-        E = y.reshape(-1, n)
-        dE = -np.einsum("abc,b,ic->ia", gamma, v, E)
-        return dE.ravel()
-
-    frame = FrameField(geodesic=geo, k=k, reorth_events=[])
-    nodes = np.linspace(geo.t0, geo.t1, n_checks + 1)
-    current = stack0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        sol = ode_solve(rhs, (a, b), current.ravel(), rtol=rtol, atol=atol)
-        frame._segments.append((a, b, sol))
-        current = sol.sol(b).reshape(-1, n)
-        drift = frame.gram_residual(b)
-        if drift > reorth_threshold:
-            frame.reorth_events.append((float(b), float(drift)))
-            current = _reorthogonalize(g, geo, b, current)
-    return frame
-
-
-def _reorthogonalize(g, geo, t, stack):
-    x, v = geo.state(t)
-    G = g.at(x)
-    if geo.character == TIMELIKE:
-        return _complete_frame(G, v, list(stack), stack.shape[0])
-    nvec = stack[0]
-    # restore g(nvec, v) = -1 and g(nvec, nvec) = 0, then re-run the spacelike GS
-    nvec = nvec / (-float(nvec @ G @ v))
-    nvec = nvec - 0.5 * float(nvec @ G @ nvec) * v
-    return _complete_frame(G, v, list(stack[1:]), stack.shape[0] - 1, nvec)
+    dense = join_dense(pieces)
+    joint = replace(geo, _dense=dense,
+                    stats={"nfev": nfev, "n_steps": len(dense.ts), "status": 0})
+    _check_norm_conservation(joint)
+    return FrameField(geodesic=joint, k=k, reorth_events=events)
 
 
 # ---------------------------------------------------------------------------
 # curvature endomorphisms
 # ---------------------------------------------------------------------------
 
-def curvature_endomorphism(g: MetricField, geo: GeodesicTrajectory,
-                           frame: FrameField, t) -> np.ndarray:
+def curvature_endomorphism(g: MetricField, frame: FrameField, t) -> np.ndarray:
     """Matrix of v -> R(v, c') c' on the frame at parameter t.
 
     Entries M[j, i] = g(R(E_i, c') c', E_j); the matrix is self-adjoint in an
     orthonormal frame.  Along null geodesics the same formula computed on
     quotient representatives is well defined because R(beta', beta') = 0.
     """
-    x, v = geo.state(t)
-    E = frame.vectors(t)
+    x, v, E = frame.state(t)
     return local_geometry(g, x).curvature_matrix(v, E, E)
 
 
-def modified_endomorphism(g: MetricField, f: ScalarField,
-                          geo: GeodesicTrajectory, frame: FrameField, t) -> np.ndarray:
+def modified_endomorphism(g: MetricField, f: ScalarField, frame: FrameField,
+                          t) -> np.ndarray:
     """Weighted endomorphism R_f = R + (Hess f(c',c')/d) E + ((f o c)'/d)^2 E.
 
     d is the frame dimension (n-1 timelike, n-2 on the null quotient); the
     same normalization enters the weighted expansion, so the trace identity
     closes with matching coefficients in both cases.
     """
-    x, v = geo.state(t)
-    E = frame.vectors(t)  # first: off the geodesic's span it raises
+    x, v, E = frame.state(t)
     return weighted_endomorphism(local_geometry(g, x), f, v, E)
 
 
@@ -343,17 +347,16 @@ def weighted_endomorphism(geom: LocalGeometry, f: ScalarField, v, E) -> np.ndarr
             + (hess_cc / d + (fprime / d) ** 2) * np.eye(d))
 
 
-def quotient_invariance_residual(g: MetricField, geo: GeodesicTrajectory,
-                                 frame: FrameField, t, shift=0.37) -> float:
+def quotient_invariance_residual(g: MetricField, frame: FrameField, t,
+                                 shift=0.37) -> float:
     """Change of endomorphism matrix under E_i -> E_i + shift * beta'.
 
     Must vanish (<= 1e-7) for the quotient-bundle reduction to be well
     defined."""
-    if geo.character != NULL:
+    if frame.geodesic.character != NULL:
         raise ValueError("quotient invariance only applies to null geodesics")
-    x, v = geo.state(t)
+    x, v, E = frame.state(t)
     geom = local_geometry(g, x)
-    E = frame.vectors(t)
     base = geom.curvature_matrix(v, E, E)
     shifted = geom.curvature_matrix(v, E + shift * v[None, :], E)
     return float(np.max(np.abs(shifted - base)))
@@ -363,21 +366,20 @@ def quotient_invariance_residual(g: MetricField, geo: GeodesicTrajectory,
 class EndomorphismSeries:
     """R(t) and R_f(t) along a geodesic, evaluated where they are asked for.
 
-    A view of (g, geo, frame, f) that stores no samples: calling it is
+    A view of (g, frame, f) that stores no samples: calling it is
     curvature_endomorphism at t, and .modified(t) is modified_endomorphism,
     or R(t) when f is None.  A parameter outside the geodesic's span raises
     DomainViolation from the frame.
     """
 
     g: MetricField
-    geo: GeodesicTrajectory
     frame: FrameField
     f: ScalarField | None = None
 
     def __call__(self, t) -> np.ndarray:
-        return curvature_endomorphism(self.g, self.geo, self.frame, t)
+        return curvature_endomorphism(self.g, self.frame, t)
 
     def modified(self, t) -> np.ndarray:
         if self.f is None:
             return self(t)
-        return modified_endomorphism(self.g, self.f, self.geo, self.frame, t)
+        return modified_endomorphism(self.g, self.f, self.frame, t)

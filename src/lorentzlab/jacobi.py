@@ -33,10 +33,12 @@ from .errors import (ConjugatePointInRange, InsufficientSamples,
                      InvalidInitialData, QuadratureNearSingularity)
 from .manifold import INFINITE_M
 from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson,
-                       golden_minimize, ode_solve, stencil_derivative)
+                       dense_in_span, golden_minimize, ode_solve,
+                       stencil_derivative)
 
 KERNEL_TOL = 1e-10
 THETA_BLOWUP = 1e6
+_TS_SAMPLES = 400  # least size of the stored grid JacobiTrajectory.ts
 
 
 def _as_matrix_source(R_source, k):
@@ -80,8 +82,9 @@ class JacobiTrajectory:
     _sol: object = field(repr=False, default=None)
 
     def states(self, t):
-        """(A(t), A'(t)) from one dense evaluation."""
-        y = self._sol.sol(t).T
+        """(A(t), A'(t)) from one dense evaluation; DomainViolation for a
+        parameter outside the span."""
+        y = dense_in_span(self._sol.sol, self.span, t, "Jacobi solution").T
         stack = y.reshape(y.shape[:-1] + (2, self.k, self.k))
         return stack[..., 0, :, :], stack[..., 1, :, :]
 
@@ -99,7 +102,7 @@ class JacobiTrajectory:
         return _scalar_or_array(t, sv[..., -1])
 
     def stacked_rank_margin(self, t):
-        stacked = np.vstack([self.A(t), self.Aprime(t)])
+        stacked = np.vstack(self.states(t))
         return float(np.linalg.svd(stacked, compute_uv=False)[-1])
 
     @property
@@ -108,7 +111,7 @@ class JacobiTrajectory:
 
 
 def integrate_jacobi(R_source, A0, A0p, span, rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL, n_samples=400) -> JacobiTrajectory:
+                     atol=DEFAULT_ATOL) -> JacobiTrajectory:
     """Integrate the matrix equation A'' + R A = 0.
 
     R_source may be metric-derived (an EndomorphismSeries) or any prescribed
@@ -130,7 +133,7 @@ def integrate_jacobi(R_source, A0, A0p, span, rtol=DEFAULT_RTOL,
 
     sol = ode_solve(rhs, span, np.concatenate([A0.ravel(), A0p.ravel()]),
                     rtol=rtol, atol=atol)
-    ts = np.linspace(span[0], sol.t[-1], max(n_samples, 2 * len(sol.t)))
+    ts = np.linspace(span[0], sol.t[-1], max(_TS_SAMPLES, 2 * len(sol.t)))
     return JacobiTrajectory(k=k, t0=span[0], t1=sol.t[-1], ts=ts, R_source=R,
                             initial={"A0": A0, "A0p": A0p}, _sol=sol)
 

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
-from .errors import InsufficientSamples, IntegratorFailure
+from .errors import DomainViolation, InsufficientSamples, IntegratorFailure
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
+
+# how far outside its span a dense output is still read: span ends are computed
+_SPAN_SLACK = 1e-12
 
 
 def ode_solve(rhs, span, y0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=None):
@@ -18,6 +21,29 @@ def ode_solve(rhs, span, y0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=None):
     if sol.status == -1:
         raise IntegratorFailure(sol.message)
     return sol
+
+
+def dense_in_span(dense, span, t, what):
+    """dense(t), with DomainViolation for a parameter outside span, which a
+    dense output would extrapolate from its last step."""
+    ts = np.asarray(t, dtype=float)
+    lo, hi = sorted(span)
+    outside = ts[~((ts >= lo - _SPAN_SLACK) & (ts <= hi + _SPAN_SLACK))]
+    if outside.size:
+        raise DomainViolation(f"t={outside[0]} outside the {what}'s span "
+                              f"[{lo}, {hi}]")
+    return dense(ts)
+
+
+def join_dense(pieces):
+    """One dense output from consecutive solves, given as (dense, end) pairs:
+    each is read up to end, where the next one starts."""
+    ts, interpolants = [pieces[0][0].ts[0]], []
+    for dense, end in pieces:
+        inner = dense.ts[1:][(dense.ts[1:] - end) * (end - dense.ts[0]) < 0]
+        ts += [*inner, end]
+        interpolants += dense.interpolants[:len(inner) + 1]
+    return OdeSolution(ts, interpolants)
 
 
 def stencil_derivative(ts, ys):

@@ -30,11 +30,14 @@ def _blockwise(g, xs, vs, fn):
 
 @dataclass
 class CongruenceRun:
-    geodesic: GeodesicTrajectory
     frame: FrameField
     series: EndomorphismSeries
     trajectory: JacobiTrajectory
     diagnostics: CongruenceDiagnostics
+
+    @property
+    def geodesic(self) -> GeodesicTrajectory:  # solved with the frame
+        return self.frame.geodesic
 
     def ric_fm_series(self, g, f, params, ts=None):
         """Pointwise Ric_f^m(c', c') along the geodesic (independent of the
@@ -57,7 +60,8 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
     """
     geo = integrate_geodesic(g, p0, v0, span, rtol=rtol, atol=atol)
     frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    series = EndomorphismSeries(g, geo, frame, f)
+    geo = frame.geodesic  # the joint solution, which every stage reads
+    series = EndomorphismSeries(g, frame, f)
     k = frame.k
     if jacobi_init is None:
         A0, A0p = np.zeros((k, k)), np.eye(k)
@@ -76,8 +80,8 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
     traj, diag = run_synthetic_congruence(
         series, k, A0, A0p, jacobi_span, fprime=fprime, diag_ts=diag_ts,
         rtol=rtol, atol=atol)
-    return CongruenceRun(geodesic=geo, frame=frame, series=series,
-                         trajectory=traj, diagnostics=diag)
+    return CongruenceRun(frame=frame, series=series, trajectory=traj,
+                         diagnostics=diag)
 
 
 def run_synthetic_congruence(R_source, k, A0, A0p, span, fprime=None,

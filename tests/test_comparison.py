@@ -68,20 +68,20 @@ def test_convergence_constant_weight_independent_of_m(ds4):
 def test_f_generic_reports(mink4, ds4):
     geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     frame = parallel_frame(mink4.metric, geo)
-    rep = check_f_generic(mink4.metric, mink4.weight, geo, frame)
+    rep = check_f_generic(mink4.metric, mink4.weight, frame)
     assert not rep.holds and rep.witness_t is None
 
     spec = ds4.geodesic("comoving")
     geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(ds4.metric, geo)
-    rep = check_f_generic(ds4.metric, ds4.weight, geo, frame)
+    rep = check_f_generic(ds4.metric, ds4.weight, frame)
     assert rep.holds and rep.witness_t == pytest.approx(spec.span[0])
 
     # flat space with a quadratic-in-time weight: Hessian term switches it on
     quad = sinh_squared_f(1.0)  # sinh^2 ~ t^2 near 0, Hessian 2 at t = 0
     geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 3.0))
     frame = parallel_frame(mink4.metric, geo)
-    rep = check_f_generic(mink4.metric, quad, geo, frame)
+    rep = check_f_generic(mink4.metric, quad, frame)
     assert rep.holds
 
 
@@ -91,19 +91,19 @@ def test_trace_identity_examples(mink4, ds4):
     geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     frame = parallel_frame(mink4.metric, geo)
     res = trace_identity_check(mink4.metric, linear_time_f(a),
-                               BakryEmeryParams(m=2.0), geo, frame, 2.0)
+                               BakryEmeryParams(m=2.0), frame, 2.0)
     assert res < 1e-12
 
     spec = ds4.geodesic("comoving")
     geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(ds4.metric, geo)
-    res = trace_identity_check(ds4.metric, ds4.weight, ds4.params, geo, frame, 0.5)
+    res = trace_identity_check(ds4.metric, ds4.weight, ds4.params, frame, 0.5)
     assert res < 1e-6
     res = trace_identity_check(ds4.metric, sinh_squared_f(2.0),
-                               BakryEmeryParams(m=INFINITE_M), geo, frame, 0.5)
+                               BakryEmeryParams(m=INFINITE_M), frame, 0.5)
     assert res < 1e-6
     res = trace_identity_check(ds4.metric, sinh_squared_f(2.0),
-                               BakryEmeryParams(m=3.0), geo, frame, 0.5)
+                               BakryEmeryParams(m=3.0), frame, 0.5)
     assert res < 1e-6
 
 

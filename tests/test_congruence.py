@@ -12,6 +12,8 @@ from lorentzlab.congruence import geodesic_residual, quotient_invariance_residua
 from lorentzlab.errors import DomainViolation, ZeroVector
 from lorentzlab.scenarios import linear_time_f
 
+from test_jacobi import SWEEP_GEODESICS
+
 
 def _rk4_geodesic(metric, p0, v0, t_end, n_steps):
     """Independent fixed-step RK4 oracle for the geodesic equation."""
@@ -141,20 +143,20 @@ def test_drift_monitor_records_reorthogonalization(ds4):
 def test_curvature_endomorphism_values(mink4, ds4, static4):
     geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     frame = parallel_frame(mink4.metric, geo)
-    assert np.max(np.abs(curvature_endomorphism(mink4.metric, geo, frame, 2.0))) \
+    assert np.max(np.abs(curvature_endomorphism(mink4.metric, frame, 2.0))) \
         < 1e-12
 
     spec = ds4.geodesic("comoving")
     geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(ds4.metric, geo)
     for t in (-1.0, 0.0, 2.0):
-        R = curvature_endomorphism(ds4.metric, geo, frame, t)
+        R = curvature_endomorphism(ds4.metric, frame, t)
         assert np.max(np.abs(R + np.eye(3))) < 1e-9
 
     spec = static4.geodesic("comoving")
     geo = integrate_geodesic(static4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(static4.metric, geo)
-    assert np.max(np.abs(curvature_endomorphism(static4.metric, geo, frame, 1.0))) \
+    assert np.max(np.abs(curvature_endomorphism(static4.metric, frame, 1.0))) \
         < 1e-10
 
 
@@ -163,7 +165,7 @@ def test_tilted_einstein_static_eigenvalues(static4):
     spec = static4.geodesic("tilted")
     geo = integrate_geodesic(static4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(static4.metric, geo)
-    R = curvature_endomorphism(static4.metric, geo, frame, 1.3)
+    R = curvature_endomorphism(static4.metric, frame, 1.3)
     eig = np.sort(np.linalg.eigvalsh(R))
     assert np.allclose(eig, [0.0, 1.0, 1.0], atol=1e-8)
 
@@ -174,30 +176,30 @@ def test_null_quotient_endomorphism(ds4, static4):
     geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(ds4.metric, geo)
     for t in (0.2, 1.1):
-        assert np.max(np.abs(curvature_endomorphism(ds4.metric, geo, frame, t))) \
+        assert np.max(np.abs(curvature_endomorphism(ds4.metric, frame, t))) \
             < 1e-7
-        assert quotient_invariance_residual(ds4.metric, geo, frame, t) < 1e-7
+        assert quotient_invariance_residual(ds4.metric, frame, t) < 1e-7
 
     # product with a unit sphere: quotient endomorphism is the identity
     spec = static4.geodesic("null_equatorial")
     geo = integrate_geodesic(static4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(static4.metric, geo)
-    R = curvature_endomorphism(static4.metric, geo, frame, 1.0)
+    R = curvature_endomorphism(static4.metric, frame, 1.0)
     assert np.max(np.abs(R - np.eye(2))) < 1e-8
-    assert quotient_invariance_residual(static4.metric, geo, frame, 1.0) < 1e-7
+    assert quotient_invariance_residual(static4.metric, frame, 1.0) < 1e-7
 
 
 def test_modified_endomorphism(mink4, ds4):
     # constant weight reduces to the plain endomorphism
     geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     frame = parallel_frame(mink4.metric, geo)
-    base = curvature_endomorphism(mink4.metric, geo, frame, 1.0)
-    same = modified_endomorphism(mink4.metric, constant_scalar(4.2), geo, frame, 1.0)
+    base = curvature_endomorphism(mink4.metric, frame, 1.0)
+    same = modified_endomorphism(mink4.metric, constant_scalar(4.2), frame, 1.0)
     assert np.max(np.abs(base - same)) < 1e-12
 
     # flat space, linear weight: R_f = (a/3)^2 I
     a = 1.5
-    Rf = modified_endomorphism(mink4.metric, linear_time_f(a), geo, frame, 2.0)
+    Rf = modified_endomorphism(mink4.metric, linear_time_f(a), frame, 2.0)
     assert np.max(np.abs(Rf - (a / 3.0) ** 2 * np.eye(3))) < 1e-12
 
     # de Sitter with the sinh^2 weight at t = 0: (-1 + 2K^2/3) I
@@ -205,7 +207,7 @@ def test_modified_endomorphism(mink4, ds4):
     spec = ds4.geodesic("comoving")
     geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(ds4.metric, geo)
-    Rf = modified_endomorphism(ds4.metric, sinh_squared_f(K), geo, frame, 0.0)
+    Rf = modified_endomorphism(ds4.metric, sinh_squared_f(K), frame, 0.0)
     assert np.max(np.abs(Rf - (-1.0 + 2.0 * K ** 2 / 3.0) * np.eye(3))) < 1e-8
 
 
@@ -218,14 +220,14 @@ def test_endomorphism_series_symmetry(ds4w, ds4w_comoving_run):
     # the series is a view: it evaluates R and R_f where it is asked
     t = 0.5 * (ts[10] + ts[11])
     assert np.array_equal(series(t), curvature_endomorphism(
-        ds4w.metric, run.geodesic, run.frame, t))
+        ds4w.metric, run.frame, t))
     assert np.array_equal(series.modified(t), modified_endomorphism(
-        ds4w.metric, ds4w.weight, run.geodesic, run.frame, t))
+        ds4w.metric, ds4w.weight, run.frame, t))
 
 
 def test_unweighted_series_modified_is_R(ds4w_comoving_run):
     run = ds4w_comoving_run
-    plain = EndomorphismSeries(run.series.g, run.geodesic, run.frame)
+    plain = EndomorphismSeries(run.series.g, run.frame)
     assert np.array_equal(plain.modified(0.3), run.series(0.3))
 
 
@@ -235,7 +237,7 @@ def test_series_outside_the_geodesic_span_is_domain_violation(frw4):
         run_point_congruence(frw4.metric, spec.p0, spec.v0, spec.span,
                              f=frw4.weight, jacobi_span=(0.0, 3.5))
     geo = integrate_geodesic(frw4.metric, spec.p0, spec.v0, spec.span)
-    series = EndomorphismSeries(frw4.metric, geo, parallel_frame(frw4.metric, geo),
+    series = EndomorphismSeries(frw4.metric, parallel_frame(frw4.metric, geo),
                                 frw4.weight)
     for t in (geo.t0 - 0.1, geo.t1 + 1e-9, 3.5):
         for evaluate in (series, series.modified):
@@ -250,7 +252,7 @@ def test_f_generic_consistency(mink4, ds4w, ds4w_comoving_run):
     frame = parallel_frame(mink4.metric, geo)
     for t in np.linspace(0.0, 4.0, 9):
         assert np.max(np.abs(modified_endomorphism(
-            mink4.metric, constant_scalar(0.0), geo, frame, t))) < 1e-12
+            mink4.metric, constant_scalar(0.0), frame, t))) < 1e-12
 
     # positive weighted curvature at a sample forces R_f != 0 there
     run = ds4w_comoving_run
@@ -258,8 +260,7 @@ def test_f_generic_consistency(mink4, ds4w, ds4w_comoving_run):
     ric = run.ric_fm_series(ds4w.metric, ds4w.weight, params,
                             ts=np.array([0.5]))
     assert ric[0] > 0.0
-    Rf = modified_endomorphism(ds4w.metric, ds4w.weight, run.geodesic,
-                               run.frame, 0.5)
+    Rf = modified_endomorphism(ds4w.metric, ds4w.weight, run.frame, 0.5)
     assert np.max(np.abs(Rf)) > 1e-9
 
 
@@ -284,7 +285,7 @@ def test_series_builds_the_geometry_once_per_sample(ds4w):
     spec = ds4w.geodesic("comoving")
     geo = integrate_geodesic(g, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(g, geo)
-    series = EndomorphismSeries(g, geo, frame, ds4w.weight)
+    series = EndomorphismSeries(g, frame, ds4w.weight)
     counts.update(dict.fromkeys(counts, 0))
     for t in np.linspace(geo.t0, geo.t1, 50):
         assert series.modified(t).shape == (3, 3)
@@ -301,7 +302,7 @@ def test_jacobi_solve_evaluates_R_once_per_rhs_call(ds4w):
     geo = integrate_geodesic(g, spec.p0, spec.v0, spec.span)
     frame = parallel_frame(g, geo)
     counts.update(dict.fromkeys(counts, 0))
-    traj = integrate_jacobi(EndomorphismSeries(g, geo, frame),
+    traj = integrate_jacobi(EndomorphismSeries(g, frame),
                             np.zeros((3, 3)), np.eye(3), geo.span)
     assert counts["dd_matrix"] == traj._sol.nfev > 0
 
@@ -333,3 +334,93 @@ def test_stacked_ric_fm_series_builds_the_geometry_once_per_point(ds4w):
     pointwise = [local_geometry(g, x).bakry_emery(ds4w.weight, ds4w.params, v, v)
                  for x, v in zip(*run.geodesic.state(ts))]
     assert np.array_equal(ric, pointwise)
+
+
+def test_dense_output_outside_its_span_is_domain_violation(frw4):
+    spec = frw4.geodesic("comoving")
+    a = spec.span[0]
+    run = run_point_congruence(frw4.metric, spec.p0, spec.v0, spec.span,
+                               f=frw4.weight)
+    t1 = run.geodesic.t1
+    for read in (run.geodesic.point, run.geodesic.state, run.frame.state,
+                 lambda t: run.ric_fm_series(frw4.metric, frw4.weight,
+                                             frw4.params, ts=[t])):
+        with pytest.raises(DomainViolation):
+            read(t1 + 2.0)
+    # one parameter outside an array is enough
+    with pytest.raises(DomainViolation):
+        run.geodesic.state(np.array([a, 0.0, t1 + 2.0]))
+    traj = run.trajectory
+    with pytest.raises(DomainViolation):
+        traj.states(traj.t1 + 0.5)
+    # diagnostics past the Jacobi span are refused, not extrapolated
+    with pytest.raises(DomainViolation):
+        run_point_congruence(frw4.metric, spec.p0, spec.v0, spec.span,
+                             f=frw4.weight, jacobi_span=(a, a + 1.0),
+                             diag_ts=np.linspace(a, a + 3.0, 101))
+    short = run_point_congruence(frw4.metric, spec.p0, spec.v0, spec.span,
+                                 f=frw4.weight, jacobi_span=(a, a + 1.0),
+                                 diag_ts=np.linspace(a, a + 1.0, 101))
+    with pytest.raises(DomainViolation):
+        short.trajectory.A(a + 1.5)
+    # the span ends themselves, to within roundoff, still evaluate
+    assert run.geodesic.point(t1 + 1e-13).shape == (4,)
+    assert traj.A(traj.t1).shape == (3, 3)
+
+
+@pytest.mark.parametrize("name, label", SWEEP_GEODESICS)
+def test_parallel_frame_accuracy_over_the_whole_span(name, label):
+    from lorentzlab.scenarios import BUILTIN_SCENARIOS
+    scen = BUILTIN_SCENARIOS[name]()
+    spec = scen.geodesic(label)
+    frame = parallel_frame(scen.metric, integrate_geodesic(
+        scen.metric, spec.p0, spec.v0, spec.span))
+    geo = frame.geodesic
+    # 41 interior points, so that the transport stencil stays on the span
+    ts = np.linspace(geo.t0, geo.t1, 43)[1:-1]
+    assert max(frame.gram_residual(t) for t in ts) <= 1e-9
+    assert max(frame.transport_residual(t) for t in ts) <= 1e-6
+    assert frame.reorth_events == []
+
+
+@pytest.mark.parametrize("label, span, rtol, atol, threshold", [
+    ("comoving", (-1.2, 6.0), 1e-3, 1e-5, 1e-9),  # the drift test's setting
+    ("null_equatorial", (0.0, 2.0), 1e-7, 1e-9, 1e-11),
+])
+def test_frame_state_across_a_restart_matches_the_pointwise_values(
+        ds4, label, span, rtol, atol, threshold):
+    spec = ds4.geodesic(label)
+    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, span)
+    frame = parallel_frame(ds4.metric, geo, rtol=rtol, atol=atol,
+                           reorth_threshold=threshold)
+    restarts = np.array([t for t, _ in frame.reorth_events if t < geo.t1])
+    assert restarts.size
+    # every restart node, and parameters on both sides of each
+    ts = np.sort(np.concatenate([restarts, restarts - 1e-3, restarts + 1e-3,
+                                 np.linspace(*span, 29)]))
+    grid = frame.state(ts)
+    for i, t in enumerate(ts):
+        for whole, single in zip(grid, frame.state(t)):
+            assert np.max(np.abs(whole[i] - single)) <= 1e-14
+    assert np.allclose(frame.gram_residual(ts),
+                       [frame.gram_residual(t) for t in ts], rtol=0.0, atol=1e-14)
+    # each restart starts from a clean frame, null partner included
+    assert np.max(frame.gram_residual(restarts + 1e-6)) <= 1e-14
+
+
+def test_one_geodesic_solution_serves_every_stage(ds4w, ds4w_comoving_run,
+                                                  monkeypatch):
+    run = ds4w_comoving_run
+    assert run.geodesic is run.frame.geodesic
+    calls = []
+    dense = run.geodesic._dense
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return dense(t)
+    monkeypatch.setattr(run.geodesic, "_dense", counted)
+    curvature_endomorphism(ds4w.metric, run.frame, 0.3)
+    assert calls == [()]
+    calls.clear()
+    x, v, E = run.frame.state(np.linspace(-0.5, 2.0, 9))
+    assert calls == [(9,)] and E.shape == (9, 3, 4)

@@ -31,7 +31,7 @@ def test_null_modified_endomorphism_uses_quotient_dimension(mink4):
     a = 1.2
     geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 4.0))
     frame = parallel_frame(mink4.metric, geo)
-    Rf = modified_endomorphism(mink4.metric, linear_time_f(a), geo, frame, 2.0)
+    Rf = modified_endomorphism(mink4.metric, linear_time_f(a), frame, 2.0)
     assert Rf.shape == (2, 2)
     assert np.max(np.abs(Rf - (a / 2.0) ** 2 * np.eye(2))) < 1e-12
 
