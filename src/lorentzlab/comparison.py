@@ -6,14 +6,13 @@ sample count and the argmin so a denser rerun can confirm them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root
 
-from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
-                         integrate_geodesic, parallel_frame,
-                         weighted_endomorphism)
+from .congruence import (EndomorphismSeries, FrameField, integrate_geodesic,
+                         parallel_frame, weighted_endomorphism)
 from .errors import LorentzLabError, NoMaximalGeodesic, OutsideUniquenessRegion
 from .jacobi import integrate_jacobi
 from .manifold import (BakryEmeryParams, MetricField, ScalarField,
@@ -210,14 +209,14 @@ class LaplacianReport:
     bound_infinite: float
     slack_finite: float | None
     slack_infinite: float
-    geodesic: GeodesicTrajectory = field(repr=False, default=None)
 
 
 def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
-    """Past-directed unit timelike geodesic from apex reaching q.
+    """(v, rho): the past-directed unit timelike geodesic from apex with
+    velocity v reaches q at arc length rho.
 
-    Unknowns are the spatial velocity components and the arc length rho; the
-    time component is fixed by unit normalization with the past root.
+    Unknowns are the spatial velocity components and rho; the time component
+    is fixed by unit normalization with the past root.
     """
     n = g.dim
     apex = np.asarray(apex, dtype=float)
@@ -260,13 +259,7 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
                method="hybr", tol=1e-12)
     if not sol.success or sol.x[-1] <= 0.0:
         raise NoMaximalGeodesic(f"shooting from {apex} to {q} failed: {sol.message}")
-    w, rho = sol.x[:-1], sol.x[-1]
-    v = assemble_velocity(w)
-    geo = integrate_geodesic(g, apex, v, (0.0, rho), rtol=rtol, atol=atol,
-                             normalize=False)
-    if np.max(np.abs(geo.point(rho) - q)) > 1e-8 * max(1.0, np.max(np.abs(q))):
-        raise NoMaximalGeodesic("shooting converged to a spurious root")
-    return geo, float(rho)
+    return assemble_velocity(sol.x[:-1]), float(sol.x[-1])
 
 
 def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
@@ -282,9 +275,11 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     if uniqueness is not None and not uniqueness(apex, q):
         raise OutsideUniquenessRegion(f"pair ({apex}, {q}) not declared unique")
     n = g.dim
-    geo, rho = _shoot_to_target(g, apex, q, rtol, atol)
-    frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    geo = frame.geodesic  # the joint solution, which every stage reads
+    v, rho = _shoot_to_target(g, apex, q, rtol, atol)
+    frame = parallel_frame(g, apex, v, (0.0, rho), rtol=rtol, atol=atol)
+    geo = frame.geodesic
+    if np.max(np.abs(geo.point(rho) - q)) > 1e-8 * max(1.0, np.max(np.abs(q))):
+        raise NoMaximalGeodesic("shooting converged to a spurious root")
     traj = integrate_jacobi(EndomorphismSeries(g, frame),
                             np.zeros((n - 1, n - 1)), np.eye(n - 1),
                             (0.0, rho), rtol=rtol, atol=atol)
@@ -305,5 +300,4 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
         bound_finite_m=bound_fin,
         bound_infinite=bound_inf,
         slack_finite=None if bound_fin is None else value - bound_fin,
-        slack_infinite=value - bound_inf,
-        geodesic=geo)
+        slack_infinite=value - bound_inf)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import manifold
-from .errors import FrameDegeneracy, IntegratorFailure, ZeroVector
+from .errors import FrameDegeneracy, IntegratorFailure
 from .manifold import (LocalGeometry, MetricField, ScalarField, christoffel,
                        christoffel_unchecked, local_geometry)
 from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, dense_in_span, join_dense,
@@ -23,6 +23,8 @@ from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, dense_in_span, join_dense,
 
 TIMELIKE = "timelike"
 NULL = "null"
+_PIVOT_TOL = 1e-10  # least squared norm of a Gram-Schmidt pivot
+_QUOTIENT_SHIFT = 0.37  # multiple of beta' added in quotient_invariance_residual
 
 
 @dataclass
@@ -36,8 +38,8 @@ class GeodesicTrajectory:
     t0: float
     t1: float
     stats: dict
-    exited_domain: bool = False
-    _dense: object = field(default=None, repr=False)
+    exited_domain: bool
+    _dense: object = field(repr=False)
 
     def _evaluate(self, t):  # [c, c', rows...], a column per parameter
         return dense_in_span(self._dense, self.span, t, "geodesic")
@@ -75,20 +77,19 @@ def _transport_rhs(g: MetricField):
     return rhs
 
 
-def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
-                       atol=DEFAULT_ATOL, normalize=True) -> GeodesicTrajectory:
-    """Solve c'' + Gamma(c', c') = 0 from (p0, v0) over span.
+# A domain exit stops this far inside the chart, relative to max(1, |bound|):
+# at the bound, the end state read again can round to just outside it.
+_EXIT_MARGIN = 1e-10
 
-    Timelike initial velocities are rescaled to g(v, v) = -1 unless
-    normalize=False.  If the trajectory exits the declared coordinate domain
-    the partial trajectory is returned with exited_domain set.
-    """
+
+def _initial_data(g: MetricField, p0, v0, normalize):
+    """(rows [p0; v0], character, norm, domain-exit events) of a geodesic.
+    Zero and spacelike velocities are rejected; a timelike one is rescaled
+    to g(v, v) = -1 unless normalize=False."""
     p0 = np.asarray(p0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if np.all(v0 == 0.0):
-        raise ZeroVector("geodesic needs a nonzero initial velocity")
+    character = manifold.causal_character(g, p0, v0)  # ZeroVector for v0 = 0
     q = g.inner(p0, v0, v0)
-    character = manifold.causal_character(g, p0, v0)
     if character == "spacelike":
         raise ValueError("only timelike or null geodesics are supported")
     if character == TIMELIKE and normalize:
@@ -102,25 +103,47 @@ def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
         for c, (lo, hi) in enumerate(g.domain):
             for bound, side in ((lo, 1.0), (hi, -1.0)):
                 if np.isfinite(bound):
-                    # positive inside the domain: y[c] - lo, hi - y[c]
-                    ev = (lambda t, y, c=c, b=bound, s=side: s * (y[c] - b))
+                    # y[c] - lo - d or hi - y[c] - d, positive inside
+                    d = _EXIT_MARGIN * max(1.0, abs(bound))
+                    ev = (lambda t, y, c=c, b=bound, s=side, d=d:
+                          s * (y[c] - b) - d)
                     ev.terminal = True
                     events.append(ev)
+    return np.vstack([p0, v0]), character, norm, events
 
-    sol = ode_solve(_transport_rhs(g), span, np.concatenate([p0, v0]),
-                    rtol=rtol, atol=atol, events=events)
-    traj = GeodesicTrajectory(
+
+def _solve(g, character, norm, rows, span, rtol, atol, events):
+    """The geodesic whose state starts with rows, solved over span."""
+    sol = ode_solve(_transport_rhs(g), span, rows.ravel(), rtol=rtol,
+                    atol=atol, events=events)
+    return GeodesicTrajectory(
         metric=g, character=character, norm=norm, t0=span[0], t1=sol.t[-1],
         stats={"nfev": sol.nfev, "n_steps": len(sol.t), "status": sol.status},
         exited_domain=sol.status == 1, _dense=sol.sol)
-    _check_norm_conservation(traj)
+
+
+def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
+                       atol=DEFAULT_ATOL, normalize=True) -> GeodesicTrajectory:
+    """Solve c'' + Gamma(c', c') = 0 from (p0, v0) over span, with no frame.
+
+    Timelike initial velocities are rescaled to g(v, v) = -1 unless
+    normalize=False.  If the trajectory exits the declared coordinate domain
+    the partial trajectory is returned with exited_domain set.
+    """
+    rows, character, norm, events = _initial_data(g, p0, v0, normalize)
+    traj = _solve(g, character, norm, rows, span, rtol, atol, events)
+    _check_norm_conservation(traj, rtol)
     return traj
 
 
 _NORM_SAMPLES = 200  # least size of the norm check's uniform grid
+# norm drift allowed: this floor, or 10 rtol, since a solve at rtol cannot
+# hold g(c', c') closer than its own tolerance
+_NORM_DRIFT_FLOOR = 1e-8
 
 
-def _check_norm_conservation(traj: GeodesicTrajectory, tol=1e-8):
+def _check_norm_conservation(traj: GeodesicTrajectory, rtol):
+    tol = max(_NORM_DRIFT_FLOOR, 10.0 * rtol)
     x, v = traj.state(np.linspace(traj.t0, traj.t1,
                                   max(_NORM_SAMPLES, 2 * traj.stats["n_steps"])))
     G = traj.metric.at(x)
@@ -204,7 +227,7 @@ class FrameField:
         return float(np.max(np.abs(covariant)))
 
 
-def _gram_schmidt_spacelike(g, candidates, against, k, pivot_tol=1e-10):
+def _gram_schmidt_spacelike(g, candidates, against, k):
     """Pick k g-orthonormal spacelike vectors from candidates, g-orthogonal
     to every vector in against (given with their dual coefficients applied)."""
     chosen = []
@@ -220,9 +243,9 @@ def _gram_schmidt_spacelike(g, candidates, against, k, pivot_tol=1e-10):
             nrm = float(w @ g @ w)
             if nrm > best_norm:
                 best, best_norm = w, nrm
-        if best is None or best_norm < pivot_tol:
+        if best is None or best_norm < _PIVOT_TOL:
             raise FrameDegeneracy(
-                f"Gram-Schmidt pivot {best_norm:.3e} below {pivot_tol:.1e}")
+                f"Gram-Schmidt pivot {best_norm:.3e} below {_PIVOT_TOL:.1e}")
         chosen.append(best / np.sqrt(best_norm))
     return chosen
 
@@ -259,55 +282,57 @@ _FRAME_TOL_FACTOR = 1e-3
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
-def parallel_frame(g: MetricField, geo: GeodesicTrajectory,
-                   reorth_threshold=1e-6, rtol=DEFAULT_RTOL,
-                   atol=DEFAULT_ATOL) -> FrameField:
-    """Solve geo again from its start, with a parallel frame carried along.
+def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
+                   rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> FrameField:
+    """Solve the geodesic from (p0, v0) over span with a parallel frame
+    carried along; the frame's geodesic is this one solution.
 
-    The frame is built by Gram-Schmidt and transported with c and c' in one
-    solve over geo.span, at rtol and atol tightened by _FRAME_TOL_FACTOR,
-    without re-orthogonalization, so transport error stays observable.  A
-    drift monitor reads the Gram residual at 33 equally spaced nodes; where
-    it exceeds reorth_threshold, it records (t, residual) in reorth_events,
-    re-orthogonalizes and solves again from that node.  The frame's geodesic
-    is the joint dense output of the pieces.
+    The initial data are checked and normalized as in integrate_geodesic.
+    The frame is built by Gram-Schmidt and transported with c and c' at rtol
+    and atol tightened by _FRAME_TOL_FACTOR, without re-orthogonalization,
+    so transport error stays observable; the solve stops at a domain exit.
+    A drift monitor reads the Gram residual at 33 equally spaced nodes of
+    the span reached; where it exceeds reorth_threshold, it records
+    (t, residual) in reorth_events, re-orthogonalizes and solves again from
+    that node.  The pieces form one dense output, norm-checked at rtol.
     """
+    rows, character, norm, exits = _initial_data(g, p0, v0, normalize=True)
     n = g.dim
-    k = n - 1 if geo.character == TIMELIKE else n - 2
+    k = n - 1 if character == TIMELIKE else n - 2
     if k < 1:
         raise FrameDegeneracy(
-            f"the normal bundle of a {geo.character} geodesic in dimension {n} "
+            f"the normal bundle of a {character} geodesic in dimension {n} "
             "has no spacelike frame")
-    x0, v0 = geo.state(geo.t0)
     seeds = np.eye(n)
-    if geo.character == NULL:  # the partner comes from a timelike seed
-        seeds = np.vstack([np.linalg.eigh(g.at(x0))[1][:, 0], seeds])
-    y0 = _orthonormal_rows(g, geo.character, np.vstack([x0, v0, seeds]), k)
-    rhs, rtol = _transport_rhs(g), max(rtol * _FRAME_TOL_FACTOR, _RTOL_FLOOR)
-    nodes = np.linspace(geo.t0, geo.t1, _MONITOR_INTERVALS + 1)
+    if character == NULL:  # the partner comes from a timelike seed
+        seeds = np.vstack([np.linalg.eigh(g.at(rows[0]))[1][:, 0], seeds])
+    y0 = _orthonormal_rows(g, character, np.vstack([rows, seeds]), k)
+    tols = (max(rtol * _FRAME_TOL_FACTOR, _RTOL_FLOOR), atol * _FRAME_TOL_FACTOR)
+    piece = first = _solve(g, character, norm, y0, span, *tols, exits)
+    nodes = np.linspace(first.t0, first.t1, _MONITOR_INTERVALS + 1)
     events, pieces, nfev, start = [], [], 0, 0
     while True:
-        sol = ode_solve(rhs, (nodes[start], geo.t1), y0.ravel(), rtol=rtol,
-                        atol=atol * _FRAME_TOL_FACTOR)
-        nfev += sol.nfev
-        piece = FrameField(replace(geo, _dense=sol.sol), k, [])
+        nfev += piece.stats["nfev"]
+        frame = FrameField(piece, k, [])
         later = nodes[start + 1:]
-        drift = piece.gram_residual(later)
+        drift = frame.gram_residual(later)
         over = np.flatnonzero(drift > reorth_threshold)
         if over.size:
             events.append((float(later[over[0]]), float(drift[over[0]])))
         if not over.size or over[0] == len(later) - 1:
-            pieces.append((sol.sol, geo.t1))
+            pieces.append((piece._dense, first.t1))
             break
         start += 1 + over[0]
-        pieces.append((sol.sol, nodes[start]))
-        y0 = _orthonormal_rows(g, geo.character, piece._rows(nodes[start]), k)
+        pieces.append((piece._dense, nodes[start]))
+        y0 = _orthonormal_rows(g, character, frame._rows(nodes[start]), k)
+        piece = _solve(g, character, norm, y0, (nodes[start], first.t1), *tols,
+                       events=None)
 
     dense = join_dense(pieces)
-    joint = replace(geo, _dense=dense,
-                    stats={"nfev": nfev, "n_steps": len(dense.ts), "status": 0})
-    _check_norm_conservation(joint)
-    return FrameField(geodesic=joint, k=k, reorth_events=events)
+    geo = replace(first, _dense=dense,
+                  stats=dict(first.stats, nfev=nfev, n_steps=len(dense.ts)))
+    _check_norm_conservation(geo, rtol)
+    return FrameField(geodesic=geo, k=k, reorth_events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +372,9 @@ def weighted_endomorphism(geom: LocalGeometry, f: ScalarField, v, E) -> np.ndarr
             + (hess_cc / d + (fprime / d) ** 2) * np.eye(d))
 
 
-def quotient_invariance_residual(g: MetricField, frame: FrameField, t,
-                                 shift=0.37) -> float:
-    """Change of endomorphism matrix under E_i -> E_i + shift * beta'.
+def quotient_invariance_residual(g: MetricField, frame: FrameField, t) -> float:
+    """Change of endomorphism matrix under E_i -> E_i + s beta', with
+    s = _QUOTIENT_SHIFT.
 
     Must vanish (<= 1e-7) for the quotient-bundle reduction to be well
     defined."""
@@ -358,7 +383,7 @@ def quotient_invariance_residual(g: MetricField, frame: FrameField, t,
     x, v, E = frame.state(t)
     geom = local_geometry(g, x)
     base = geom.curvature_matrix(v, E, E)
-    shifted = geom.curvature_matrix(v, E + shift * v[None, :], E)
+    shifted = geom.curvature_matrix(v, E + _QUOTIENT_SHIFT * v[None, :], E)
     return float(np.max(np.abs(shifted - base)))
 
 

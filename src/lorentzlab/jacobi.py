@@ -38,7 +38,17 @@ from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson,
 
 KERNEL_TOL = 1e-10
 THETA_BLOWUP = 1e6
-_TS_SAMPLES = 400  # least size of the stored grid JacobiTrajectory.ts
+_KINEMATICS_SAMPLES = 400  # least size of kinematics' default grid
+_SINGULAR_RTOL = 1e-12  # A is singular where sigma_min <= this * max(sigma_max, 1)
+# detect_conjugate: the scan grid, the root tolerance, the sigma_min of a
+# zero, and the ratio to the median below which a sigma_min dip is refined
+_SCAN_SAMPLES = 2000
+_REFINE_TOL = 1e-10
+_SV_ACCEPT = 1e-9
+_SV_TRIGGER_RATIO = 1e-3
+_INTERVAL_TOL = 1e-6  # a zero this far outside a predicted interval is inside
+_DS_COLLAR = 1e-4  # D_s quadrature: the collar around t1, and the tolerance
+_DS_TOL = 1e-9
 
 
 def _as_matrix_source(R_source, k):
@@ -76,7 +86,6 @@ class JacobiTrajectory:
     k: int
     t0: float
     t1: float
-    ts: np.ndarray
     R_source: object
     initial: dict
     _sol: object = field(repr=False, default=None)
@@ -133,8 +142,7 @@ def integrate_jacobi(R_source, A0, A0p, span, rtol=DEFAULT_RTOL,
 
     sol = ode_solve(rhs, span, np.concatenate([A0.ravel(), A0p.ravel()]),
                     rtol=rtol, atol=atol)
-    ts = np.linspace(span[0], sol.t[-1], max(_TS_SAMPLES, 2 * len(sol.t)))
-    return JacobiTrajectory(k=k, t0=span[0], t1=sol.t[-1], ts=ts, R_source=R,
+    return JacobiTrajectory(k=k, t0=span[0], t1=sol.t[-1], R_source=R,
                             initial={"A0": A0, "A0p": A0p}, _sol=sol)
 
 
@@ -189,21 +197,23 @@ def _fprime_values(fprime, ts):
     return vals
 
 
-def kinematics(traj: JacobiTrajectory, fprime=None, n=None, ts=None,
-               singular_rtol=1e-12) -> CongruenceDiagnostics:
+def kinematics(traj: JacobiTrajectory, fprime=None, n=None,
+               ts=None) -> CongruenceDiagnostics:
     """Expansion, shear and vorticity of the congruence defined by traj.
 
     fprime is (f o c)' as a callable or an array on the grid; n, when given,
     is the space-time dimension and is checked against the matrix size.
     Samples where A is numerically singular (or |theta_f| exceeds the
     blow-up guard) are masked, not errors.  The whole grid is evaluated at
-    once: one dense evaluation, then stacked det, SVD and inverse.
+    once: one dense evaluation, then stacked det, SVD and inverse.  The
+    default grid is uniform: two samples per solver step, at least 400.
     """
     k = traj.k
     if n is not None and k not in (n - 1, n - 2):
         raise ValueError(f"matrix size {k} inconsistent with dimension {n}")
     if ts is None:
-        ts = np.linspace(traj.t0, traj.t1, max(400, len(traj.ts)))
+        ts = np.linspace(traj.t0, traj.t1,
+                         max(_KINEMATICS_SAMPLES, 2 * len(traj._sol.t)))
     ts = np.asarray(ts, dtype=float)
     fp = _fprime_values(fprime, ts)
 
@@ -211,7 +221,7 @@ def kinematics(traj: JacobiTrajectory, fprime=None, n=None, ts=None,
     A, Ap = traj.states(ts)
     det_A = np.linalg.det(A)
     sv = np.linalg.svd(A, compute_uv=False)
-    invertible = ~(sv[:, -1] <= singular_rtol * np.maximum(sv[:, 0], 1.0))
+    invertible = ~(sv[:, -1] <= _SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0))
     B = np.full((N, k, k), np.nan)
     B[invertible] = Ap[invertible] @ np.linalg.inv(A[invertible])
     theta = np.trace(B, axis1=1, axis2=2)
@@ -325,14 +335,12 @@ class ConjugateReport:
         return self.zeros[0].t if self.zeros else None
 
 
-def detect_conjugate(traj: JacobiTrajectory, n_grid=2000,
-                     refine_tol=1e-10, sv_accept=1e-9,
-                     sv_trigger_ratio=1e-3) -> ConjugateReport:
+def detect_conjugate(traj: JacobiTrajectory) -> ConjugateReport:
     """Find interior zeros of det A.
 
     Primary signal: sign change of det A between grid samples, refined by
     bisection.  Even-multiplicity zeros leave no sign change and are caught
-    by a smallest-singular-value dip below sv_accept, refined by scalar
+    by a smallest-singular-value dip below _SV_ACCEPT, refined by scalar
     minimization; such zeros report the minimizer.  The initial zero of
     from-a-point data is excluded.  The grid is scanned with whole-grid
     det_A and sigma_min; the refinements evaluate one parameter at a time.
@@ -341,9 +349,9 @@ def detect_conjugate(traj: JacobiTrajectory, n_grid=2000,
     # from-a-point exclusion collar stays anchored at the initial parameter
     start = traj.t0
     a, b = sorted((traj.t0, traj.t1))
-    ts = np.linspace(a, b, n_grid)
+    ts = np.linspace(a, b, _SCAN_SAMPLES)
     det = traj.det_A(ts)
-    collar = max(4.0 * (b - a) / n_grid, 1e-6 * abs(b - a))
+    collar = max(4.0 * (b - a) / _SCAN_SAMPLES, 1e-6 * abs(b - a))
     initial_zero = np.linalg.norm(traj.A(start)) < 1e-12
 
     zeros = []
@@ -351,7 +359,7 @@ def detect_conjugate(traj: JacobiTrajectory, n_grid=2000,
         if det[i] == 0.0:
             continue
         if np.sign(det[i]) * np.sign(det[i + 1]) < 0:
-            root = brentq(traj.det_A, ts[i], ts[i + 1], xtol=refine_tol)
+            root = brentq(traj.det_A, ts[i], ts[i + 1], xtol=_REFINE_TOL)
             if initial_zero and abs(root - start) <= collar:
                 continue
             zeros.append(ConjugateZero(t=float(root), certificate="sign_change",
@@ -359,22 +367,23 @@ def detect_conjugate(traj: JacobiTrajectory, n_grid=2000,
 
     # secondary: singular-value dips without a sign change.  Local minima of
     # sigma_min below a loose trigger are refined; only refined minima below
-    # sv_accept count as zeros, so the trigger just has to be wider than the
+    # _SV_ACCEPT count as zeros, so the trigger just has to be wider than the
     # scan grid can miss.
     sv = traj.sigma_min(ts)
     scale = max(np.median(sv), 1e-30)
-    trigger = max(sv_trigger_ratio * scale, 50.0 * scale / n_grid)
+    trigger = max(_SV_TRIGGER_RATIO * scale, 50.0 * scale / _SCAN_SAMPLES)
     for i in range(1, len(ts) - 1):
         if not (sv[i] <= sv[i - 1] and sv[i] <= sv[i + 1] and sv[i] < trigger):
             continue
         # sigma_min^2 is smooth through the zero, so golden section on it
-        # localizes even-order zeros to refine_tol
+        # localizes even-order zeros to _REFINE_TOL
         t_min, smin2 = golden_minimize(lambda t: traj.sigma_min(t) ** 2,
                                        ts[i - 1], ts[i + 1])
         smin = float(np.sqrt(max(smin2, 0.0)))
-        near_known = any(abs(z.t - t_min) < 2.0 * (b - a) / n_grid for z in zeros)
+        near_known = any(abs(z.t - t_min) < 2.0 * (b - a) / _SCAN_SAMPLES
+                         for z in zeros)
         far_from_start = not (initial_zero and abs(t_min - start) <= collar)
-        if smin < sv_accept and not near_known and far_from_start:
+        if smin < _SV_ACCEPT and not near_known and far_from_start:
             zeros.append(ConjugateZero(t=float(t_min),
                                        certificate="singular_value",
                                        sigma_min=smin))
@@ -413,7 +422,7 @@ def _predicted_end(t1, theta1, width):
     return t1 - width / theta1
 
 
-def _interval_verdict(traj, t1, upper, hypotheses, tol=1e-6):
+def _interval_verdict(traj, t1, upper, hypotheses):
     """Scan traj for det-zeros and judge them against [t1, upper].
 
     Each hypothesis is a predicate of t that must hold at 64 samples of the
@@ -423,7 +432,7 @@ def _interval_verdict(traj, t1, upper, hypotheses, tol=1e-6):
     sample = np.linspace(max(lo, traj.t0), min(hi, traj.t1), 64)
     hypothesis_ok = all(holds(t) for holds in hypotheses for t in sample)
     report = detect_conjugate(traj)
-    lo, hi = lo - tol, hi + tol
+    lo, hi = lo - _INTERVAL_TOL, hi + _INTERVAL_TOL
     report.predicted_interval = (lo, hi)
     report.hypothesis_ok = hypothesis_ok
     inside = [z for z in report.zeros if lo <= z.t <= hi]
@@ -443,7 +452,7 @@ def _interval_verdict(traj, t1, upper, hypotheses, tol=1e-6):
 
 
 def verify_interval_finite_m(traj: JacobiTrajectory, diag: CongruenceDiagnostics,
-                             t1, n, m, ric_fm=None, tol=1e-6) -> ConjugateReport:
+                             t1, n, m, ric_fm=None) -> ConjugateReport:
     """det A must vanish within (n+m-1)/|theta_f(t1)| of t1 (finite m).
 
     Requires theta_f(t1) != 0, a Lagrange trajectory, and Ric_f^m(c',c') >= 0
@@ -456,12 +465,12 @@ def verify_interval_finite_m(traj: JacobiTrajectory, diag: CongruenceDiagnostics
         raise InvalidInitialData("trajectory is not a Lagrange tensor")
     ric = ric_fm if ric_fm is not None else _ric_fm_from_trace(
         traj, m, lambda t: np.interp(t, diag.ts, diag.fprime))
-    return _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9], tol)
+    return _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9])
 
 
 def verify_interval_infinite(traj: JacobiTrajectory, diag: CongruenceDiagnostics,
-                             t1, n, k_bound, f_values=None, ric_f=None,
-                             tol=1e-6) -> ConjugateReport:
+                             t1, n, k_bound, f_values=None,
+                             ric_f=None) -> ConjugateReport:
     """Infinite-m analogue with sigma = (n-1+2k-2f(c(t1)))/theta_f(t1).
 
     k_bound must dominate f on the predicted interval (checked); Ric_f >= 0
@@ -475,7 +484,7 @@ def verify_interval_infinite(traj: JacobiTrajectory, diag: CongruenceDiagnostics
     ric = ric_f if ric_f is not None else _ric_fm_from_trace(traj, INFINITE_M)
     return _interval_verdict(
         traj, t1, upper,
-        [lambda t: f_at(t) <= k_bound + 1e-9, lambda t: ric(t) >= -1e-9], tol)
+        [lambda t: f_at(t) <= k_bound + 1e-9, lambda t: ric(t) >= -1e-9])
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +528,7 @@ def boundary_jacobi(R_source, t1, s, k=None,
     return D
 
 
-def d_s_integral_formula(a_traj: JacobiTrajectory, t, s, collar=1e-4,
-                         tol=1e-9) -> np.ndarray:
+def d_s_integral_formula(a_traj: JacobiTrajectory, t, s) -> np.ndarray:
     """Evaluate D_s(t) = A(t) * integral_t^s (A* A)^{-1}(tau) dtau.
 
     a_traj must be the from-a-point solution A(t1) = 0, A'(t1) = E; the
@@ -528,15 +536,15 @@ def d_s_integral_formula(a_traj: JacobiTrajectory, t, s, collar=1e-4,
     around t1 is refused.
     """
     t1 = a_traj.t0
-    if t - t1 < collar:
+    if t - t1 < _DS_COLLAR:
         raise QuadratureNearSingularity(
-            f"evaluation point {t} is within the collar {collar} of {t1}")
+            f"evaluation point {t} is within the collar {_DS_COLLAR} of {t1}")
 
     def integrand(tau):
         A = a_traj.A(tau)
         return np.linalg.inv(A.T @ A)
 
-    integral = adaptive_simpson(integrand, t, s, tol=tol)
+    integral = adaptive_simpson(integrand, t, s, tol=_DS_TOL)
     return a_traj.A(t) @ integral
 
 
@@ -594,8 +602,7 @@ def asymptotic_lagrange(R_source, t1, s_list, eval_ts,
 # null focal bound
 # ---------------------------------------------------------------------------
 
-def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None,
-                            fprime=None, tol=1e-6,
+def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None, fprime=None,
                             rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> ConjugateReport:
     """Focal point of a null hypersurface-normal congruence.
 
@@ -618,6 +625,6 @@ def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None,
         fprime = np.asarray(fprime, dtype=float)[:1]
     diag = kinematics(traj, fprime=fprime, ts=np.array([traj.t0]))
     ric = _ric_fm_from_trace(traj, INFINITE_M)
-    report = _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9], tol)
+    report = _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9])
     report.theta1 = float(diag.theta_f[0]) if diag.mask[0] else theta1
     return report

@@ -51,6 +51,7 @@ class MInfinity(enum.Enum):
 
 
 INFINITE_M = MInfinity.INF
+_EPS_NULL = 1e-9  # v is null where |g(v, v)| <= this * (Euclidean |v|^2)
 
 
 @dataclass(frozen=True)
@@ -399,12 +400,12 @@ def bakry_emery_ricci(g: MetricField, f: ScalarField, params: BakryEmeryParams,
     return local_geometry(g, p).bakry_emery(f, params, v, w)
 
 
-def causal_character(g: MetricField, p, v, eps_null: float = 1e-9) -> str:
+def causal_character(g: MetricField, p, v) -> str:
     v = np.asarray(v, dtype=float)
     aux = float(v @ v)
     if aux == 0.0:
         raise ZeroVector("cannot classify the zero vector")
     q = g.inner(p, v, v)
-    if abs(q) <= eps_null * aux:
+    if abs(q) <= _EPS_NULL * aux:
         return "null"
     return "timelike" if q < 0.0 else "spacelike"

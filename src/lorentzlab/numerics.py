@@ -12,6 +12,8 @@ DEFAULT_ATOL = 1e-11
 
 # how far outside its span a dense output is still read: span ends are computed
 _SPAN_SLACK = 1e-12
+_SIMPSON_MAX_DEPTH = 32  # bisection levels of adaptive_simpson
+_GOLDEN_ITERS = 80  # golden_minimize's fixed iteration count
 
 
 def ode_solve(rhs, span, y0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=None):
@@ -63,7 +65,7 @@ def stencil_derivative(ts, ys):
     return ts[2:-2], d
 
 
-def adaptive_simpson(fun, a, b, tol=1e-9, max_depth=32):
+def adaptive_simpson(fun, a, b, tol=1e-9):
     """Adaptive Simpson quadrature for matrix-valued integrands."""
     fa, fm, fb = fun(a), fun(0.5 * (a + b)), fun(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -76,7 +78,7 @@ def adaptive_simpson(fun, a, b, tol=1e-9, max_depth=32):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = float(np.max(np.abs(left + right - whole)))
-        if err <= 15.0 * tol * scale or depth >= max_depth:
+        if err <= 15.0 * tol * scale or depth >= _SIMPSON_MAX_DEPTH:
             return left + right + (left + right - whole) / 15.0
         return (rec(a, m, fa, flm, fm, left, depth + 1)
                 + rec(m, b, fm, frm, fb, right, depth + 1))
@@ -84,7 +86,7 @@ def adaptive_simpson(fun, a, b, tol=1e-9, max_depth=32):
     return rec(a, b, fa, fm, fb, whole, 0)
 
 
-def golden_minimize(fun, lo, hi, iters=80):
+def golden_minimize(fun, lo, hi):
     """Golden-section minimum of a unimodal function on [lo, hi].
 
     Fixed iteration count; robust on kinked functions like |t - t*| where
@@ -95,7 +97,7 @@ def golden_minimize(fun, lo, hi, iters=80):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

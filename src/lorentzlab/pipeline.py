@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
-                         integrate_geodesic, parallel_frame)
+                         parallel_frame)
 from .jacobi import (CongruenceDiagnostics, JacobiTrajectory, integrate_jacobi,
                      kinematics)
 from .manifold import (INFINITE_M, BakryEmeryParams, LocalGeometry,
@@ -19,6 +19,7 @@ from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, stencil_derivative
 # (rows, n, n, n, n) temporaries, so a whole grid at once costs memory,
 # while blocks of 32 rows are as fast
 _BLOCK = 32
+_DIAG_SAMPLES = 801  # size of the default uniform diagnostics grid
 
 
 def _blockwise(g, xs, vs, fn):
@@ -50,17 +51,15 @@ class CongruenceRun:
 
 def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = None,
                          jacobi_init=None, jacobi_span=None, diag_ts=None,
-                         rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                         diag_n=801) -> CongruenceRun:
+                         rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> CongruenceRun:
     """Full pipeline along one geodesic.
 
     jacobi_init defaults to the from-a-point Lagrange data A = 0, A' = E at
     the start of the (sub)span; diagnostics are produced on a uniform grid so
     the stencil differentiation downstream is valid.
     """
-    geo = integrate_geodesic(g, p0, v0, span, rtol=rtol, atol=atol)
-    frame = parallel_frame(g, geo, rtol=rtol, atol=atol)
-    geo = frame.geodesic  # the joint solution, which every stage reads
+    frame = parallel_frame(g, p0, v0, span, rtol=rtol, atol=atol)
+    geo = frame.geodesic
     series = EndomorphismSeries(g, frame, f)
     k = frame.k
     if jacobi_init is None:
@@ -69,7 +68,7 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
         A0, A0p = jacobi_init
     jacobi_span = jacobi_span or geo.span
     if diag_ts is None:
-        diag_ts = np.linspace(jacobi_span[0], jacobi_span[1], diag_n)
+        diag_ts = np.linspace(jacobi_span[0], jacobi_span[1], _DIAG_SAMPLES)
 
     fprime = None
     if f is not None:
@@ -85,12 +84,11 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
 
 
 def run_synthetic_congruence(R_source, k, A0, A0p, span, fprime=None,
-                             diag_ts=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                             diag_n=801):
+                             diag_ts=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Prescribed-curvature congruence: returns (trajectory, diagnostics)."""
     traj = integrate_jacobi(R_source, A0, A0p, span, rtol=rtol, atol=atol)
     if diag_ts is None:
-        diag_ts = np.linspace(span[0], span[1], diag_n)
+        diag_ts = np.linspace(span[0], span[1], _DIAG_SAMPLES)
     diag = kinematics(traj, fprime=fprime, ts=diag_ts)
     return traj, diag
 

@@ -20,7 +20,7 @@ from lorentzlab import (INFINITE_M, BakryEmeryParams, asymptotic_lagrange,
                         schwarz_equality_residual, schwarz_gap, sinh_squared_f,
                         trace_identity_check, verify_interval_finite_m,
                         verify_interval_infinite, verify_null_focal_bound)
-from lorentzlab.congruence import integrate_geodesic, parallel_frame
+from lorentzlab.congruence import parallel_frame
 from lorentzlab.cli import parse_config, run
 from lorentzlab.scenarios import equator_point, linear_time_f
 
@@ -283,8 +283,7 @@ def test_criterion_12_trace_identity(mink4, ds4, ds4w, static4, frw4):
     ]
     for scen, f, params in cases:
         spec = next(s for s in scen.geodesics if s.character == "timelike")
-        geo = integrate_geodesic(scen.metric, spec.p0, spec.v0, spec.span)
-        frame = parallel_frame(scen.metric, geo)
+        frame = parallel_frame(scen.metric, spec.p0, spec.v0, spec.span)
         a, b = spec.span
         for t in np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5):
             worst = max(worst, trace_identity_check(scen.metric, f, params,

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from lorentzlab import (INFINITE_M, BakryEmeryParams, SampleSpec,
                         check_f_generic, check_timelike_convergence,
-                        constant_scalar, f_laplacian_distance,
-                        integrate_geodesic, parallel_frame,
+                        constant_scalar, f_laplacian_distance, parallel_frame,
                         schwarz_equality_residual, schwarz_gap, sinh_squared_f,
                         trace_identity_check)
 from lorentzlab.errors import NoMaximalGeodesic, OutsideUniquenessRegion
@@ -66,21 +65,18 @@ def test_convergence_constant_weight_independent_of_m(ds4):
 
 
 def test_f_generic_reports(mink4, ds4):
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     rep = check_f_generic(mink4.metric, mink4.weight, frame)
     assert not rep.holds and rep.witness_t is None
 
     spec = ds4.geodesic("comoving")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(ds4.metric, geo)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     rep = check_f_generic(ds4.metric, ds4.weight, frame)
     assert rep.holds and rep.witness_t == pytest.approx(spec.span[0])
 
     # flat space with a quadratic-in-time weight: Hessian term switches it on
     quad = sinh_squared_f(1.0)  # sinh^2 ~ t^2 near 0, Hessian 2 at t = 0
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 3.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 3.0))
     rep = check_f_generic(mink4.metric, quad, frame)
     assert rep.holds
 
@@ -88,15 +84,13 @@ def test_f_generic_reports(mink4, ds4):
 def test_trace_identity_examples(mink4, ds4):
     # flat, linear weight: both sides equal a^2/3 for m = 2
     a = 1.0
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     res = trace_identity_check(mink4.metric, linear_time_f(a),
                                BakryEmeryParams(m=2.0), frame, 2.0)
     assert res < 1e-12
 
     spec = ds4.geodesic("comoving")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(ds4.metric, geo)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     res = trace_identity_check(ds4.metric, ds4.weight, ds4.params, frame, 0.5)
     assert res < 1e-6
     res = trace_identity_check(ds4.metric, sinh_squared_f(2.0),
@@ -180,6 +174,24 @@ def test_f_laplacian_weighted_de_sitter_bound(ds4w):
     assert rep.slack_infinite >= -1e-6
     # the unweighted comparison fails here: de Sitter has Ric(v,v) < 0
     assert rep.laplacian < -(4 - 1.0) / rep.rho
+
+
+def test_f_laplacian_solves_the_shot_geodesic_once(ds4w, monkeypatch):
+    from lorentzlab import comparison
+    from test_congruence import _count_solves
+    apex = equator_point(4, 1.5)
+    q = apex.copy()
+    q[0] = 0.3
+    solves, residuals, root = _count_solves(monkeypatch), [], comparison.root
+
+    def counted_root(fun, x0, **kwargs):
+        return root(lambda x: residuals.append(x) or fun(x), x0, **kwargs)
+    monkeypatch.setattr(comparison, "root", counted_root)
+    f_laplacian_distance(ds4w.metric, ds4w.weight, apex, q,
+                         uniqueness=ds4w.uniqueness)
+    # a bare geodesic per shooting residual, then the joint geodesic-and-frame
+    # solve and the Jacobi solve
+    assert len(solves) == len(residuals) + 2
 
 
 def test_f_laplacian_guards(mink4):

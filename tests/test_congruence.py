@@ -9,7 +9,7 @@ from lorentzlab import (BakryEmeryParams, EndomorphismSeries, INFINITE_M,
                         modified_endomorphism, parallel_frame,
                         run_point_congruence, sinh_squared_f)
 from lorentzlab.congruence import geodesic_residual, quotient_invariance_residual
-from lorentzlab.errors import DomainViolation, ZeroVector
+from lorentzlab.errors import DomainViolation, IntegratorFailure, ZeroVector
 from lorentzlab.scenarios import linear_time_f
 
 from test_jacobi import SWEEP_GEODESICS
@@ -83,8 +83,7 @@ def test_geodesic_rejects_bad_velocities(mink4):
 
 
 def test_parallel_frame_minkowski_constant(mink4):
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     E0 = frame.vectors(0.0)
     E5 = frame.vectors(5.0)
     assert np.max(np.abs(E0 - E5)) < 1e-12
@@ -94,8 +93,8 @@ def test_parallel_frame_minkowski_constant(mink4):
 
 def test_parallel_frame_de_sitter_warped_transport(ds4):
     spec = ds4.geodesic("comoving")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(ds4.metric, geo)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
+    geo = frame.geodesic
     for t in (-1.0, 0.0, 1.5):
         assert frame.gram_residual(t) < 1e-9
         assert frame.transport_residual(t) < 1e-6
@@ -107,9 +106,9 @@ def test_parallel_frame_de_sitter_warped_transport(ds4):
 
 
 def test_null_frame_minkowski(mink4):
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 5.0))
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 5.0))
+    geo = frame.geodesic
     assert geo.character == "null"
-    frame = parallel_frame(mink4.metric, geo)
     assert frame.k == 2
     E = frame.vectors(2.0)
     # representatives span the y-z plane and stay constant
@@ -124,38 +123,33 @@ def test_null_frame_minkowski(mink4):
 
 def test_null_frame_de_sitter_gram(ds4):
     spec = ds4.geodesic("null_equatorial")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(ds4.metric, geo)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     for t in (0.3, 1.0, 1.9):
         assert frame.gram_residual(t) < 1e-8
 
 
 def test_drift_monitor_records_reorthogonalization(ds4):
     spec = ds4.geodesic("comoving")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, (-1.2, 6.0))
-    frame = parallel_frame(ds4.metric, geo, rtol=1e-3, atol=1e-5,
-                           reorth_threshold=1e-9)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, (-1.2, 6.0),
+                           rtol=1e-3, atol=1e-5, reorth_threshold=1e-9)
     assert frame.reorth_events  # sloppy transport must trip the monitor
     # after each re-orthogonalization the frame is clean again at the end
     assert frame.gram_residual(6.0) < 1e-6
 
 
 def test_curvature_endomorphism_values(mink4, ds4, static4):
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     assert np.max(np.abs(curvature_endomorphism(mink4.metric, frame, 2.0))) \
         < 1e-12
 
     spec = ds4.geodesic("comoving")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(ds4.metric, geo)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     for t in (-1.0, 0.0, 2.0):
         R = curvature_endomorphism(ds4.metric, frame, t)
         assert np.max(np.abs(R + np.eye(3))) < 1e-9
 
     spec = static4.geodesic("comoving")
-    geo = integrate_geodesic(static4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(static4.metric, geo)
+    frame = parallel_frame(static4.metric, spec.p0, spec.v0, spec.span)
     assert np.max(np.abs(curvature_endomorphism(static4.metric, frame, 1.0))) \
         < 1e-10
 
@@ -163,8 +157,7 @@ def test_curvature_endomorphism_values(mink4, ds4, static4):
 def test_tilted_einstein_static_eigenvalues(static4):
     # boost chi = asinh(1): transverse eigenvalues sinh^2(chi) = 1, plus one 0
     spec = static4.geodesic("tilted")
-    geo = integrate_geodesic(static4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(static4.metric, geo)
+    frame = parallel_frame(static4.metric, spec.p0, spec.v0, spec.span)
     R = curvature_endomorphism(static4.metric, frame, 1.3)
     eig = np.sort(np.linalg.eigvalsh(R))
     assert np.allclose(eig, [0.0, 1.0, 1.0], atol=1e-8)
@@ -173,8 +166,7 @@ def test_tilted_einstein_static_eigenvalues(static4):
 def test_null_quotient_endomorphism(ds4, static4):
     # constant curvature: the quotient endomorphism vanishes on null geodesics
     spec = ds4.geodesic("null_equatorial")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(ds4.metric, geo)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     for t in (0.2, 1.1):
         assert np.max(np.abs(curvature_endomorphism(ds4.metric, frame, t))) \
             < 1e-7
@@ -182,8 +174,7 @@ def test_null_quotient_endomorphism(ds4, static4):
 
     # product with a unit sphere: quotient endomorphism is the identity
     spec = static4.geodesic("null_equatorial")
-    geo = integrate_geodesic(static4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(static4.metric, geo)
+    frame = parallel_frame(static4.metric, spec.p0, spec.v0, spec.span)
     R = curvature_endomorphism(static4.metric, frame, 1.0)
     assert np.max(np.abs(R - np.eye(2))) < 1e-8
     assert quotient_invariance_residual(static4.metric, frame, 1.0) < 1e-7
@@ -191,8 +182,7 @@ def test_null_quotient_endomorphism(ds4, static4):
 
 def test_modified_endomorphism(mink4, ds4):
     # constant weight reduces to the plain endomorphism
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
     base = curvature_endomorphism(mink4.metric, frame, 1.0)
     same = modified_endomorphism(mink4.metric, constant_scalar(4.2), frame, 1.0)
     assert np.max(np.abs(base - same)) < 1e-12
@@ -205,8 +195,7 @@ def test_modified_endomorphism(mink4, ds4):
     # de Sitter with the sinh^2 weight at t = 0: (-1 + 2K^2/3) I
     K = 2.0
     spec = ds4.geodesic("comoving")
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(ds4.metric, geo)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     Rf = modified_endomorphism(ds4.metric, sinh_squared_f(K), frame, 0.0)
     assert np.max(np.abs(Rf - (-1.0 + 2.0 * K ** 2 / 3.0) * np.eye(3))) < 1e-8
 
@@ -236,9 +225,9 @@ def test_series_outside_the_geodesic_span_is_domain_violation(frw4):
     with pytest.raises(DomainViolation):
         run_point_congruence(frw4.metric, spec.p0, spec.v0, spec.span,
                              f=frw4.weight, jacobi_span=(0.0, 3.5))
-    geo = integrate_geodesic(frw4.metric, spec.p0, spec.v0, spec.span)
-    series = EndomorphismSeries(frw4.metric, parallel_frame(frw4.metric, geo),
-                                frw4.weight)
+    frame = parallel_frame(frw4.metric, spec.p0, spec.v0, spec.span)
+    geo = frame.geodesic
+    series = EndomorphismSeries(frw4.metric, frame, frw4.weight)
     for t in (geo.t0 - 0.1, geo.t1 + 1e-9, 3.5):
         for evaluate in (series, series.modified):
             with pytest.raises(DomainViolation):
@@ -248,8 +237,7 @@ def test_series_outside_the_geodesic_span_is_domain_violation(frw4):
 
 def test_f_generic_consistency(mink4, ds4w, ds4w_comoving_run):
     # flat space with constant weight: R_f vanishes along every geodesic
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 0.3, 0, 0], (0.0, 4.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0.3, 0, 0], (0.0, 4.0))
     for t in np.linspace(0.0, 4.0, 9):
         assert np.max(np.abs(modified_endomorphism(
             mink4.metric, constant_scalar(0.0), frame, t))) < 1e-12
@@ -283,11 +271,10 @@ def test_series_builds_the_geometry_once_per_sample(ds4w):
     from lorentzlab.manifold import hessian_scalar
     g, counts = _counting_metric(ds4w.metric)
     spec = ds4w.geodesic("comoving")
-    geo = integrate_geodesic(g, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(g, geo)
+    frame = parallel_frame(g, spec.p0, spec.v0, spec.span)
     series = EndomorphismSeries(g, frame, ds4w.weight)
     counts.update(dict.fromkeys(counts, 0))
-    for t in np.linspace(geo.t0, geo.t1, 50):
+    for t in np.linspace(*frame.geodesic.span, 50):
         assert series.modified(t).shape == (3, 3)
     assert counts == {"matrix": 50, "d_matrix": 50, "dd_matrix": 50}
     # a Hessian needs the connection only, not the curvature
@@ -299,11 +286,10 @@ def test_series_builds_the_geometry_once_per_sample(ds4w):
 def test_jacobi_solve_evaluates_R_once_per_rhs_call(ds4w):
     g, counts = _counting_metric(ds4w.metric)
     spec = ds4w.geodesic("comoving")
-    geo = integrate_geodesic(g, spec.p0, spec.v0, spec.span)
-    frame = parallel_frame(g, geo)
+    frame = parallel_frame(g, spec.p0, spec.v0, spec.span)
     counts.update(dict.fromkeys(counts, 0))
     traj = integrate_jacobi(EndomorphismSeries(g, frame),
-                            np.zeros((3, 3)), np.eye(3), geo.span)
+                            np.zeros((3, 3)), np.eye(3), frame.geodesic.span)
     assert counts["dd_matrix"] == traj._sol.nfev > 0
 
 
@@ -373,8 +359,7 @@ def test_parallel_frame_accuracy_over_the_whole_span(name, label):
     from lorentzlab.scenarios import BUILTIN_SCENARIOS
     scen = BUILTIN_SCENARIOS[name]()
     spec = scen.geodesic(label)
-    frame = parallel_frame(scen.metric, integrate_geodesic(
-        scen.metric, spec.p0, spec.v0, spec.span))
+    frame = parallel_frame(scen.metric, spec.p0, spec.v0, spec.span)
     geo = frame.geodesic
     # 41 interior points, so that the transport stencil stays on the span
     ts = np.linspace(geo.t0, geo.t1, 43)[1:-1]
@@ -390,10 +375,10 @@ def test_parallel_frame_accuracy_over_the_whole_span(name, label):
 def test_frame_state_across_a_restart_matches_the_pointwise_values(
         ds4, label, span, rtol, atol, threshold):
     spec = ds4.geodesic(label)
-    geo = integrate_geodesic(ds4.metric, spec.p0, spec.v0, span)
-    frame = parallel_frame(ds4.metric, geo, rtol=rtol, atol=atol,
-                           reorth_threshold=threshold)
-    restarts = np.array([t for t, _ in frame.reorth_events if t < geo.t1])
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, span, rtol=rtol,
+                           atol=atol, reorth_threshold=threshold)
+    restarts = np.array([t for t, _ in frame.reorth_events
+                         if t < frame.geodesic.t1])
     assert restarts.size
     # every restart node, and parameters on both sides of each
     ts = np.sort(np.concatenate([restarts, restarts - 1e-3, restarts + 1e-3,
@@ -424,3 +409,61 @@ def test_one_geodesic_solution_serves_every_stage(ds4w, ds4w_comoving_run,
     calls.clear()
     x, v, E = run.frame.state(np.linspace(-0.5, 2.0, 9))
     assert calls == [(9,)] and E.shape == (9, 3, 4)
+
+
+def _count_solves(monkeypatch):
+    """A list that gains an entry at every ode_solve."""
+    from lorentzlab import numerics
+    solves, solve_ivp = [], numerics.solve_ivp
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve_ivp(*args, **kwargs)
+    monkeypatch.setattr(numerics, "solve_ivp", counted)
+    return solves
+
+
+@pytest.mark.parametrize("name, label", SWEEP_GEODESICS)
+def test_point_congruence_solves_its_geodesic_once(name, label, monkeypatch):
+    from lorentzlab.scenarios import BUILTIN_SCENARIOS
+    scen = BUILTIN_SCENARIOS[name]()
+    spec = scen.geodesic(label)
+    solves = _count_solves(monkeypatch)
+    run = run_point_congruence(scen.metric, spec.p0, spec.v0, spec.span)
+    # the joint geodesic-and-frame solve, then the Jacobi solve
+    assert len(solves) == 2 and run.frame.reorth_events == []
+
+
+def test_frame_solve_stops_at_a_domain_exit(quartic_2d):
+    # the geodesic of test_domain_exit_returns_partial_trajectory
+    frame = parallel_frame(quartic_2d, np.array([1.0, 0.0]),
+                           np.array([-1.0, 0.0]), (0.0, 5.0))
+    geo = frame.geodesic
+    assert geo.exited_domain
+    assert geo.point(geo.t1)[0] == pytest.approx(0.05, abs=1e-6)
+    # the metric degenerates like t^4 toward the exit and the transported row
+    # grows like 1/t^2: the Gram residual rises from 8e-12 near the start to
+    # 3.8e-8 at the chart time t = 0.073, below the monitor's threshold
+    ts = np.linspace(geo.t0, geo.t1, 43)[1:-1]
+    assert np.max(frame.gram_residual(ts)) <= 1e-7
+    assert frame.reorth_events == []
+
+
+@pytest.mark.parametrize("solve, rtol", [(integrate_geodesic, 2e-9),
+                                         (integrate_geodesic, 1e-8),
+                                         (parallel_frame, 1e-4),
+                                         (parallel_frame, 1e-5)])
+def test_norm_check_holds_the_geodesic_to_the_callers_rtol(ds4, solve, rtol):
+    # de Sitter's null geodesic drifts past 1e-8 at these tolerances, which
+    # the bound max(1e-8, 10 rtol) allows
+    spec = ds4.geodesic("null_equatorial")
+    out = solve(ds4.metric, spec.p0, spec.v0, spec.span, rtol=rtol)
+    geo = out.geodesic if solve is parallel_frame else out
+    assert 1e-8 < geo.stats["norm_drift"] <= 10.0 * rtol
+
+
+def test_norm_drift_beyond_the_bound_raises(ds4):
+    spec = ds4.geodesic("null_equatorial")
+    with pytest.raises(IntegratorFailure):  # drift 3.7e-4 against 1e-8
+        integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span,
+                           rtol=1e-9, atol=1e-4)

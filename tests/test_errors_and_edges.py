@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lorentzlab import (integrate_geodesic, integrate_jacobi, kinematics,
-                        minkowski, modified_endomorphism, parallel_frame,
+from lorentzlab import (integrate_jacobi, kinematics, minkowski,
+                        modified_endomorphism, parallel_frame,
                         raychaudhuri_residual)
 from lorentzlab.congruence import _gram_schmidt_spacelike
 from lorentzlab.errors import FrameDegeneracy, InsufficientSamples
@@ -29,8 +29,7 @@ def test_null_modified_endomorphism_uses_quotient_dimension(mink4):
     # flat space, linear weight along the null geodesic t = x = lambda:
     # (f o beta)' = a and Rbar_f = (a/(n-2))^2 * E on the 2d quotient
     a = 1.2
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 4.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 4.0))
     Rf = modified_endomorphism(mink4.metric, linear_time_f(a), frame, 2.0)
     assert Rf.shape == (2, 2)
     assert np.max(np.abs(Rf - (a / 2.0) ** 2 * np.eye(2))) < 1e-12
@@ -38,8 +37,7 @@ def test_null_modified_endomorphism_uses_quotient_dimension(mink4):
 
 def test_null_kinematics_expansion(mink4):
     # from-a-point null congruence in flat space: theta = (n-2)/t
-    geo = integrate_geodesic(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 6.0))
-    frame = parallel_frame(mink4.metric, geo)
+    frame = parallel_frame(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 6.0))
     traj = integrate_jacobi(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2),
                             (0.0, 6.0))
     ts = np.linspace(0.5, 6.0, 201)
@@ -51,6 +49,5 @@ def test_null_frame_in_two_dimensions_is_typed_error():
     # the null quotient bundle of a 2-dimensional spacetime is empty
     mink2 = minkowski(2)
     assert [s.label for s in mink2.geodesics] == ["comoving"]
-    geo = integrate_geodesic(mink2.metric, np.zeros(2), [1.0, 1.0], (0.0, 5.0))
     with pytest.raises(FrameDegeneracy):
-        parallel_frame(mink2.metric, geo)
+        parallel_frame(mink2.metric, np.zeros(2), [1.0, 1.0], (0.0, 5.0))

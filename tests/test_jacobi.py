@@ -440,7 +440,7 @@ def test_null_focal_theta1_is_the_full_grid_first_sample(rbar, theta1):
     span = (0.0, pad) if theta1 < 0 else (0.0, -pad)
     traj = integrate_jacobi(rbar, np.eye(2), (theta1 / 2.0) * np.eye(2), span)
     fprime = lambda t: 0.3 + 0.1 * t
-    grid = np.linspace(traj.t0, traj.t1, max(400, len(traj.ts)))
+    grid = np.linspace(traj.t0, traj.t1, max(400, 2 * len(traj._sol.t)))
     for fp in (None, fprime, np.array([fprime(t) for t in grid])):
         full = kinematics(traj, fprime=fp)
         rep = verify_null_focal_bound(rbar, theta1, 0.0, 4, fprime=fp)
