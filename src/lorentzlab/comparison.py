@@ -216,7 +216,9 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
     velocity v reaches q at arc length rho.
 
     Unknowns are the spatial velocity components and rho; the time component
-    is fixed by unit normalization with the past root.
+    is fixed by unit normalization with the past root. A root whose residual,
+    solved at the caller's tolerances, misses q by more than 1e-8 (relative)
+    is spurious.
     """
     n = g.dim
     apex = np.asarray(apex, dtype=float)
@@ -259,6 +261,8 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
                method="hybr", tol=1e-12)
     if not sol.success or sol.x[-1] <= 0.0:
         raise NoMaximalGeodesic(f"shooting from {apex} to {q} failed: {sol.message}")
+    if np.max(np.abs(sol.fun)) > 1e-8 * max(1.0, np.max(np.abs(q))):
+        raise NoMaximalGeodesic("shooting converged to a spurious root")
     return assemble_velocity(sol.x[:-1]), float(sol.x[-1])
 
 
@@ -278,8 +282,6 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     v, rho = _shoot_to_target(g, apex, q, rtol, atol)
     frame = parallel_frame(g, apex, v, (0.0, rho), rtol=rtol, atol=atol)
     geo = frame.geodesic
-    if np.max(np.abs(geo.point(rho) - q)) > 1e-8 * max(1.0, np.max(np.abs(q))):
-        raise NoMaximalGeodesic("shooting converged to a spurious root")
     traj = integrate_jacobi(EndomorphismSeries(g, frame),
                             np.zeros((n - 1, n - 1)), np.eye(n - 1),
                             (0.0, rho), rtol=rtol, atol=atol)

@@ -41,6 +41,19 @@ def quartic_2d():
                        name="quartic2d")
 
 
+@pytest.fixture
+def ode_solves(monkeypatch):
+    """A list that gains an entry at every ode_solve."""
+    from lorentzlab import numerics
+    solves, solve_ivp = [], numerics.solve_ivp
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve_ivp(*args, **kwargs)
+    monkeypatch.setattr(numerics, "solve_ivp", counted)
+    return solves
+
+
 @pytest.fixture(scope="session")
 def ds4_comoving_run(ds4):
     """Shared from-a-point congruence along the de Sitter comoving geodesic."""

@@ -411,29 +411,6 @@ def test_one_geodesic_solution_serves_every_stage(ds4w, ds4w_comoving_run,
     assert calls == [(9,)] and E.shape == (9, 3, 4)
 
 
-def _count_solves(monkeypatch):
-    """A list that gains an entry at every ode_solve."""
-    from lorentzlab import numerics
-    solves, solve_ivp = [], numerics.solve_ivp
-
-    def counted(*args, **kwargs):
-        solves.append(args[1])
-        return solve_ivp(*args, **kwargs)
-    monkeypatch.setattr(numerics, "solve_ivp", counted)
-    return solves
-
-
-@pytest.mark.parametrize("name, label", SWEEP_GEODESICS)
-def test_point_congruence_solves_its_geodesic_once(name, label, monkeypatch):
-    from lorentzlab.scenarios import BUILTIN_SCENARIOS
-    scen = BUILTIN_SCENARIOS[name]()
-    spec = scen.geodesic(label)
-    solves = _count_solves(monkeypatch)
-    run = run_point_congruence(scen.metric, spec.p0, spec.v0, spec.span)
-    # the joint geodesic-and-frame solve, then the Jacobi solve
-    assert len(solves) == 2 and run.frame.reorth_events == []
-
-
 def test_frame_solve_stops_at_a_domain_exit(quartic_2d):
     # the geodesic of test_domain_exit_returns_partial_trajectory
     frame = parallel_frame(quartic_2d, np.array([1.0, 0.0]),

@@ -507,12 +507,15 @@ def _assert_close_to_loop(batched, loop):
 
 
 @pytest.mark.parametrize("name, label", SWEEP_GEODESICS)
-def test_whole_grid_jacobi_evaluation_matches_the_sample_loop(name, label):
+def test_whole_grid_jacobi_evaluation_matches_the_sample_loop(name, label,
+                                                             ode_solves):
     from lorentzlab.scenarios import BUILTIN_SCENARIOS
     scen = BUILTIN_SCENARIOS[name]()
     spec = scen.geodesic(label)
     run = run_point_congruence(scen.metric, spec.p0, spec.v0, spec.span,
                                f=scen.weight)
+    # the joint geodesic-and-frame solve, then the Jacobi solve
+    assert len(ode_solves) == 2 and run.frame.reorth_events == []
     traj, diag, geo = run.trajectory, run.diagnostics, run.geodesic
     fprime = [float(scen.weight.gradient(geo.point(t)) @ geo.velocity(t))
               for t in diag.ts]
