@@ -4,9 +4,8 @@ from .manifold import (INFINITE_M, BakryEmeryParams, MetricField, ScalarField,
                        bakry_emery_ricci, causal_character, christoffel,
                        constant_scalar, hessian_scalar, ricci, riemann,
                        riemann_lowered)
-from .congruence import (EndomorphismSeries, FrameField, GeodesicTrajectory,
-                         curvature_endomorphism, integrate_geodesic,
-                         modified_endomorphism, parallel_frame)
+from .congruence import (FrameField, GeodesicTrajectory, integrate_geodesic,
+                         parallel_frame)
 from .jacobi import (CongruenceDiagnostics, ConjugateReport, JacobiTrajectory,
                      asymptotic_lagrange, boundary_jacobi, d_s_integral_formula,
                      detect_conjugate, integrate_jacobi, kinematics,

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import root
 
-from .congruence import (EndomorphismSeries, FrameField, integrate_geodesic,
-                         parallel_frame, weighted_endomorphism)
+from .congruence import FrameField, integrate_geodesic, parallel_frame
 from .errors import LorentzLabError, NoMaximalGeodesic, OutsideUniquenessRegion
 from .jacobi import integrate_jacobi
-from .manifold import (BakryEmeryParams, MetricField, ScalarField,
-                       bakry_emery_ricci, local_geometry)
+from .manifold import (BakryEmeryParams, LocalGeometry, MetricField,
+                       ScalarField, bakry_emery_ricci)
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson, spawn_rngs
 
 
@@ -106,7 +105,7 @@ def check_timelike_convergence(g: MetricField, f: ScalarField,
     arg_p, arg_v = None, None
     count = 0
     for p, vs in sample_plan(g, spec):
-        geom = local_geometry(g, p)
+        geom = LocalGeometry(g, p)
         tensor = geom.ricci + geom.hessian(f)
         df = f.gradient(p)
         for v in vs:
@@ -131,42 +130,36 @@ class GenericConditionReport:
     max_norm: float
 
 
-def check_f_generic(g: MetricField, f: ScalarField, frame: FrameField,
+def check_f_generic(f: ScalarField, frame: FrameField,
                     threshold=1e-9) -> GenericConditionReport:
     """Does R_f(t) differ from zero somewhere along the frame's geodesic?
 
-    Returns the first witness parameter, or None when R_f vanishes on every
-    sample to within threshold."""
-    max_norm = 0.0
-    witness = None
+    R_f is evaluated on 200 samples of the span at once.  Returns the first
+    witness parameter, or None when R_f vanishes on every sample to within
+    threshold."""
     ts = np.linspace(*frame.geodesic.span, 200)
-    for t, x, v, E in zip(ts, *frame.state(ts)):
-        Rf = weighted_endomorphism(local_geometry(g, x), f, v, E)
-        nrm = float(np.max(np.abs(Rf)))
-        max_norm = max(max_norm, nrm)
-        if witness is None and nrm > threshold:
-            witness = float(t)
-    return GenericConditionReport(holds=witness is not None,
-                                  witness_t=witness, max_norm=max_norm)
+    norms = np.max(np.abs(frame.curvature(ts, f)), axis=(1, 2))
+    over = np.flatnonzero(norms > threshold)
+    witness = float(ts[over[0]]) if over.size else None
+    return GenericConditionReport(holds=witness is not None, witness_t=witness,
+                                  max_norm=float(np.max(norms)))
 
 
-def trace_identity_check(g: MetricField, f: ScalarField,
-                         params: BakryEmeryParams, frame: FrameField,
-                         t) -> float:
-    """|tr R_f - Ric_f^m(c',c') - (1/d + 1/m)((f o c)')^2| at parameter t.
+def trace_identity_check(f: ScalarField, params: BakryEmeryParams,
+                         frame: FrameField, t):
+    """|tr R_f - Ric_f^m(c',c') - (1/d + 1/m)((f o c)')^2| at parameter t,
+    or the array of them at an array of parameters.
 
     The left side is assembled from the frame-based endomorphism, the right
     side from the pointwise curvature operations, so the two routes are
     independent."""
-    d = frame.k
-    x, v, E = frame.state(t)
-    geom = local_geometry(g, x)
-    lhs = float(np.trace(weighted_endomorphism(geom, f, v, E)))
-    fprime = float(f.gradient(x) @ v)
-    rhs = geom.bakry_emery(f, params, v, v)
-    coeff = 1.0 / d + (0.0 if not params.finite else 1.0 / params.m)
-    rhs = rhs + coeff * fprime ** 2
-    return abs(lhs - rhs)
+    x, v, _ = frame.state(t)
+    lhs = np.trace(frame.curvature(t, f), axis1=-2, axis2=-1)
+    fprime = np.einsum("...a,...a->...", f.gradient(x), v)
+    rhs = LocalGeometry(frame.geodesic.metric, x).bakry_emery(f, params, v, v)
+    coeff = 1.0 / frame.k + (0.0 if not params.finite else 1.0 / params.m)
+    res = np.abs(lhs - rhs - coeff * fprime ** 2)
+    return float(res) if np.ndim(t) == 0 else res
 
 
 def schwarz_gap(theta, fprime, n, m):
@@ -282,7 +275,7 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     v, rho = _shoot_to_target(g, apex, q, rtol, atol)
     frame = parallel_frame(g, apex, v, (0.0, rho), rtol=rtol, atol=atol)
     geo = frame.geodesic
-    traj = integrate_jacobi(EndomorphismSeries(g, frame),
+    traj = integrate_jacobi(frame.curvature,
                             np.zeros((n - 1, n - 1)), np.eye(n - 1),
                             (0.0, rho), rtol=rtol, atol=atol)
     A = traj.A(rho)

@@ -17,7 +17,7 @@ import numpy as np
 from . import manifold
 from .errors import FrameDegeneracy, IntegratorFailure
 from .manifold import (LocalGeometry, MetricField, ScalarField, christoffel,
-                       christoffel_unchecked, local_geometry)
+                       christoffel_unchecked)
 from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, dense_in_span, join_dense,
                        ode_solve)
 
@@ -202,6 +202,27 @@ class FrameField:
             raise ValueError("null partner only exists along null geodesics")
         return self._rows(t)[..., 2, :]
 
+    def curvature(self, t, f: ScalarField | None = None) -> np.ndarray:
+        """R(t), the matrix M[j, i] = g(R(E_i, c') c', E_j) on the frame, or
+        with a weight f, R_f(t) = R + (Hess f(c', c')/d + ((f o c)'/d)^2) E.
+
+        d = k is the frame dimension (n-1 timelike, n-2 on the null
+        quotient), the normalization of the weighted expansion, so the trace
+        identity closes in both cases.  R(t) is self-adjoint; along null
+        geodesics it is well defined on quotient representatives because
+        R(beta', beta') = 0.  One parameter gives a (k, k) matrix, an array
+        of them an (N, k, k) stack from one stacked LocalGeometry.
+        """
+        x, v, E = self.state(t)
+        geom = LocalGeometry(self.geodesic.metric, x)
+        R = geom.curvature_matrix(v, E, E)
+        if f is None:
+            return R
+        hess = np.einsum("...a,...ab,...b->...", v, geom.hessian(f), v)
+        fprime = np.einsum("...a,...a->...", f.gradient(x), v)
+        shift = hess / self.k + (fprime / self.k) ** 2
+        return R + shift[..., None, None] * np.eye(self.k)
+
     def gram_residual(self, t):
         """Largest deviation of the stack's inner products at t from
         g(E_i, E_j) = delta_ij, g(E_i, c') = 0 and, for a null partner,
@@ -335,76 +356,14 @@ def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
     return FrameField(geodesic=geo, k=k, reorth_events=events)
 
 
-# ---------------------------------------------------------------------------
-# curvature endomorphisms
-# ---------------------------------------------------------------------------
-
-def curvature_endomorphism(g: MetricField, frame: FrameField, t) -> np.ndarray:
-    """Matrix of v -> R(v, c') c' on the frame at parameter t.
-
-    Entries M[j, i] = g(R(E_i, c') c', E_j); the matrix is self-adjoint in an
-    orthonormal frame.  Along null geodesics the same formula computed on
-    quotient representatives is well defined because R(beta', beta') = 0.
-    """
-    x, v, E = frame.state(t)
-    return local_geometry(g, x).curvature_matrix(v, E, E)
-
-
-def modified_endomorphism(g: MetricField, f: ScalarField, frame: FrameField,
-                          t) -> np.ndarray:
-    """Weighted endomorphism R_f = R + (Hess f(c',c')/d) E + ((f o c)'/d)^2 E.
-
-    d is the frame dimension (n-1 timelike, n-2 on the null quotient); the
-    same normalization enters the weighted expansion, so the trace identity
-    closes with matching coefficients in both cases.
-    """
-    x, v, E = frame.state(t)
-    return weighted_endomorphism(local_geometry(g, x), f, v, E)
-
-
-def weighted_endomorphism(geom: LocalGeometry, f: ScalarField, v, E) -> np.ndarray:
-    """R_f on the frame rows E, from the geometry geom at c(t) and v = c'(t):
-    R + (Hess f(v, v)/d + (df(v)/d)^2) E, d = the number of rows."""
-    d = len(E)
-    hess_cc = float(v @ geom.hessian(f) @ v)
-    fprime = float(f.gradient(geom.p) @ v)
-    return (geom.curvature_matrix(v, E, E)
-            + (hess_cc / d + (fprime / d) ** 2) * np.eye(d))
-
-
-def quotient_invariance_residual(g: MetricField, frame: FrameField, t) -> float:
-    """Change of endomorphism matrix under E_i -> E_i + s beta', with
-    s = _QUOTIENT_SHIFT.
+def quotient_invariance_residual(frame: FrameField, t) -> float:
+    """Change of R(t) under E_i -> E_i + s beta', with s = _QUOTIENT_SHIFT.
 
     Must vanish (<= 1e-7) for the quotient-bundle reduction to be well
     defined."""
     if frame.geodesic.character != NULL:
         raise ValueError("quotient invariance only applies to null geodesics")
     x, v, E = frame.state(t)
-    geom = local_geometry(g, x)
-    base = geom.curvature_matrix(v, E, E)
-    shifted = geom.curvature_matrix(v, E + _QUOTIENT_SHIFT * v[None, :], E)
-    return float(np.max(np.abs(shifted - base)))
-
-
-@dataclass
-class EndomorphismSeries:
-    """R(t) and R_f(t) along a geodesic, evaluated where they are asked for.
-
-    A view of (g, frame, f) that stores no samples: calling it is
-    curvature_endomorphism at t, and .modified(t) is modified_endomorphism,
-    or R(t) when f is None.  A parameter outside the geodesic's span raises
-    DomainViolation from the frame.
-    """
-
-    g: MetricField
-    frame: FrameField
-    f: ScalarField | None = None
-
-    def __call__(self, t) -> np.ndarray:
-        return curvature_endomorphism(self.g, self.frame, t)
-
-    def modified(self, t) -> np.ndarray:
-        if self.f is None:
-            return self(t)
-        return modified_endomorphism(self.g, self.f, self.frame, t)
+    shifted = LocalGeometry(frame.geodesic.metric, x).curvature_matrix(
+        v, E + _QUOTIENT_SHIFT * v[None, :], E)
+    return float(np.max(np.abs(shifted - frame.curvature(t))))

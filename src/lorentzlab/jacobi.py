@@ -52,8 +52,8 @@ _DS_TOL = 1e-9
 
 
 def _as_matrix_source(R_source, k):
-    """Accept an EndomorphismSeries, a callable t -> matrix, a constant
-    matrix, or a scalar; return a callable."""
+    """Accept a callable t -> matrix (FrameField.curvature, or any
+    prescribed one), a constant matrix, or a scalar; return a callable."""
     if callable(R_source):
         return R_source
     val = np.asarray(R_source, dtype=float)
@@ -123,7 +123,7 @@ def integrate_jacobi(R_source, A0, A0p, span, rtol=DEFAULT_RTOL,
                      atol=DEFAULT_ATOL) -> JacobiTrajectory:
     """Integrate the matrix equation A'' + R A = 0.
 
-    R_source may be metric-derived (an EndomorphismSeries) or any prescribed
+    R_source may be metric-derived (FrameField.curvature) or any prescribed
     matrix function/constant.  Raises InvalidInitialData when the stacked
     initial data [A0; A0p] is column-rank deficient.
     """
@@ -181,9 +181,14 @@ class CongruenceDiagnostics:
     mask: np.ndarray
     logdet_identity_residual: np.ndarray
 
-    def theta_f_at(self, t):
+    def at(self, t, values):
+        """values, one per sample of ts, interpolated linearly at t."""
         order = np.argsort(self.ts)  # backward runs store descending grids
-        return float(np.interp(t, self.ts[order], self.theta_f[order]))
+        return float(np.interp(t, self.ts[order],
+                               np.asarray(values, dtype=float)[order]))
+
+    def theta_f_at(self, t):
+        return self.at(t, self.theta_f)
 
 
 def _fprime_values(fprime, ts):
@@ -406,13 +411,14 @@ def detect_conjugate(traj: JacobiTrajectory) -> ConjugateReport:
     return ConjugateReport(zeros=zeros, blowup_ts=blowups)
 
 
-def _ric_fm_from_trace(traj, m, fprime=None):
-    """Ric_f^m(c', c') = tr R - ((f o c)')^2 / m, the trace identity solved
-    for the pointwise curvature; the last term is absent for m = INFINITE_M."""
-    def ric(t):
-        tr = float(np.trace(traj.R_source(t)))
-        return tr if m is INFINITE_M else tr - fprime(t) ** 2 / m
-    return ric
+def _trace_R(traj, diag=None):
+    """t -> tr R(t) = Ric(c', c'), the default curvature hypothesis.  It is
+    Ric_f^m(c', c') only where (f o c)' vanishes, so ValueError where diag
+    has a nonzero (f o c)'."""
+    if diag is not None and np.any(diag.fprime):
+        raise ValueError("tr R is not Ric_f^m(c', c') where (f o c)' != 0; "
+                         "pass the weighted curvature explicitly")
+    return lambda t: float(np.trace(traj.R_source(t)))
 
 
 def _predicted_end(t1, theta1, width):
@@ -426,10 +432,12 @@ def _interval_verdict(traj, t1, upper, hypotheses):
     """Scan traj for det-zeros and judge them against [t1, upper].
 
     Each hypothesis is a predicate of t that must hold at 64 samples of the
-    predicted interval (clipped to the trajectory) for a verdict to count.
+    predicted interval (clipped to the trajectory's span, forward or
+    backward) for a verdict to count.
     """
     lo, hi = sorted((t1, upper))
-    sample = np.linspace(max(lo, traj.t0), min(hi, traj.t1), 64)
+    a, b = sorted(traj.span)
+    sample = np.linspace(max(lo, a), min(hi, b), 64)
     hypothesis_ok = all(holds(t) for holds in hypotheses for t in sample)
     report = detect_conjugate(traj)
     lo, hi = lo - _INTERVAL_TOL, hi + _INTERVAL_TOL
@@ -457,14 +465,14 @@ def verify_interval_finite_m(traj: JacobiTrajectory, diag: CongruenceDiagnostics
 
     Requires theta_f(t1) != 0, a Lagrange trajectory, and Ric_f^m(c',c') >= 0
     on the predicted interval; a failed curvature hypothesis is reported in
-    the verdict, not raised.
+    the verdict, not raised.  ric_fm defaults to tr R(t), which a run with a
+    nonzero (f o c)' refuses (ValueError).
     """
     m = float(m)
     upper = _predicted_end(t1, diag.theta_f_at(t1), n + m - 1.0)
     if lagrange_defect(traj, t1) > 1e-9:
         raise InvalidInitialData("trajectory is not a Lagrange tensor")
-    ric = ric_fm if ric_fm is not None else _ric_fm_from_trace(
-        traj, m, lambda t: np.interp(t, diag.ts, diag.fprime))
+    ric = ric_fm if ric_fm is not None else _trace_R(traj, diag)
     return _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9])
 
 
@@ -474,14 +482,15 @@ def verify_interval_infinite(traj: JacobiTrajectory, diag: CongruenceDiagnostics
     """Infinite-m analogue with sigma = (n-1+2k-2f(c(t1)))/theta_f(t1).
 
     k_bound must dominate f on the predicted interval (checked); Ric_f >= 0
-    is checked there as well.
+    is checked there as well.  f_values is a callable or an array on diag.ts;
+    ric_f defaults as ric_fm does in verify_interval_finite_m.
     """
     theta1 = diag.theta_f_at(t1)
     f_at = (lambda t: 0.0) if f_values is None else (
         f_values if callable(f_values)
-        else (lambda t: float(np.interp(t, diag.ts, np.asarray(f_values)))))
+        else (lambda t: diag.at(t, f_values)))
     upper = _predicted_end(t1, theta1, n - 1.0 + 2.0 * k_bound - 2.0 * f_at(t1))
-    ric = ric_f if ric_f is not None else _ric_fm_from_trace(traj, INFINITE_M)
+    ric = ric_f if ric_f is not None else _trace_R(traj, diag)
     return _interval_verdict(
         traj, t1, upper,
         [lambda t: f_at(t) <= k_bound + 1e-9, lambda t: ric(t) >= -1e-9])
@@ -624,7 +633,7 @@ def verify_null_focal_bound(rbar_source, theta1, t1, n, span=None, fprime=None,
     if fprime is not None and not callable(fprime):
         fprime = np.asarray(fprime, dtype=float)[:1]
     diag = kinematics(traj, fprime=fprime, ts=np.array([traj.t0]))
-    ric = _ric_fm_from_trace(traj, INFINITE_M)
+    ric = _trace_R(traj)
     report = _interval_verdict(traj, t1, upper, [lambda t: ric(t) >= -1e-9])
     report.theta1 = float(diag.theta_f[0]) if diag.mask[0] else theta1
     return report

@@ -351,14 +351,9 @@ class LocalGeometry:
         return np.einsum("...jb,...ab,...ia->...ji", E_out, self.G, img)
 
 
-def local_geometry(g: MetricField, p) -> LocalGeometry:
-    """The validated geometry of g at p."""
-    return LocalGeometry(g, p)
-
-
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Levi-Civita symbols Gamma[a, b, c] = Gamma^a_{bc}."""
-    return local_geometry(g, p).gamma
+    return LocalGeometry(g, p).gamma
 
 
 def christoffel_unchecked(g: MetricField, p) -> np.ndarray:
@@ -375,29 +370,29 @@ def christoffel_unchecked(g: MetricField, p) -> np.ndarray:
 
 def riemann(g: MetricField, p) -> np.ndarray:
     """Curvature tensor components R[a, b, c, d] = R^a_{bcd}."""
-    return local_geometry(g, p).riemann
+    return LocalGeometry(g, p).riemann
 
 
 def riemann_lowered(g: MetricField, p) -> np.ndarray:
     """Fully covariant R[a, b, c, d] = g_ae R^e_{bcd}."""
-    geom = local_geometry(g, p)
+    geom = LocalGeometry(g, p)
     return np.einsum("ae,ebcd->abcd", geom.G, geom.riemann)
 
 
 def ricci(g: MetricField, p) -> np.ndarray:
     """Ric_bd = R^a_{bad}."""
-    return local_geometry(g, p).ricci
+    return LocalGeometry(g, p).ricci
 
 
 def hessian_scalar(g: MetricField, f: ScalarField, p) -> np.ndarray:
     """(Hess f)_ab = d_a d_b f - Gamma^c_{ab} d_c f."""
-    return local_geometry(g, p).hessian(f)
+    return LocalGeometry(g, p).hessian(f)
 
 
 def bakry_emery_ricci(g: MetricField, f: ScalarField, params: BakryEmeryParams,
                       p, v, w) -> float:
     """Ric_f^m(v, w); see LocalGeometry.bakry_emery."""
-    return local_geometry(g, p).bakry_emery(f, params, v, w)
+    return LocalGeometry(g, p).bakry_emery(f, params, v, w)
 
 
 def causal_character(g: MetricField, p, v) -> str:

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import (EndomorphismSeries, GeodesicTrajectory, FrameField,
-                         parallel_frame)
+from .congruence import GeodesicTrajectory, FrameField, parallel_frame
 from .jacobi import (CongruenceDiagnostics, JacobiTrajectory, integrate_jacobi,
                      kinematics)
 from .manifold import (INFINITE_M, BakryEmeryParams, LocalGeometry,
@@ -32,9 +31,13 @@ def _blockwise(g, xs, vs, fn):
 @dataclass
 class CongruenceRun:
     frame: FrameField
-    series: EndomorphismSeries
     trajectory: JacobiTrajectory
     diagnostics: CongruenceDiagnostics
+
+    @property
+    def series(self):
+        """R(t) along the geodesic, t -> frame.curvature(t)."""
+        return self.frame.curvature
 
     @property
     def geodesic(self) -> GeodesicTrajectory:  # solved with the frame
@@ -60,7 +63,6 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
     """
     frame = parallel_frame(g, p0, v0, span, rtol=rtol, atol=atol)
     geo = frame.geodesic
-    series = EndomorphismSeries(g, frame, f)
     k = frame.k
     if jacobi_init is None:
         A0, A0p = np.zeros((k, k)), np.eye(k)
@@ -77,10 +79,9 @@ def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = N
         fprime = np.einsum("ia,ia->i", f.gradient(xs), vs)
 
     traj, diag = run_synthetic_congruence(
-        series, k, A0, A0p, jacobi_span, fprime=fprime, diag_ts=diag_ts,
+        frame.curvature, k, A0, A0p, jacobi_span, fprime=fprime, diag_ts=diag_ts,
         rtol=rtol, atol=atol)
-    return CongruenceRun(frame=frame, series=series, trajectory=traj,
-                         diagnostics=diag)
+    return CongruenceRun(frame=frame, trajectory=traj, diagnostics=diag)
 
 
 def run_synthetic_congruence(R_source, k, A0, A0p, span, fprime=None,

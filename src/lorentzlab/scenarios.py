@@ -216,7 +216,7 @@ class Scenario:
             if kind not in ("flat", "ricci_proportional", "constant_curvature"):
                 raise ValueError(f"unknown manifest kind {kind}")
             for p in entry.get("points", []):
-                geom = manifold.local_geometry(self.metric, p)
+                geom = manifold.LocalGeometry(self.metric, p)
                 G = geom.G
                 if kind == "flat":
                     res = np.max(np.abs(geom.riemann))
@@ -497,7 +497,7 @@ def certify_weighted_de_sitter(n: int = 4, K_grid=None, spec: SampleSpec | None 
         spec = SampleSpec(points=pts, n_timelike=16, seed=20240, chi_max=1.0)
 
     plan = sample_plan(g, spec)
-    geoms = [manifold.local_geometry(g, p) for p, _ in plan]
+    geoms = [manifold.LocalGeometry(g, p) for p, _ in plan]
     e_t = np.zeros(n)
     e_t[0] = 1.0
 

@@ -286,8 +286,7 @@ def test_criterion_12_trace_identity(mink4, ds4, ds4w, static4, frw4):
         frame = parallel_frame(scen.metric, spec.p0, spec.v0, spec.span)
         a, b = spec.span
         for t in np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5):
-            worst = max(worst, trace_identity_check(scen.metric, f, params,
-                                                    frame, t))
+            worst = max(worst, trace_identity_check(f, params, frame, t))
     _verdict(12, worst <= 1e-6,
              f"max trace-identity residual {worst:.2e} over 6 scenario/weight "
              f"combinations (<=1e-6)")

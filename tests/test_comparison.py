@@ -9,7 +9,10 @@ from lorentzlab import (INFINITE_M, BakryEmeryParams, SampleSpec,
                         schwarz_equality_residual, schwarz_gap, sinh_squared_f,
                         trace_identity_check)
 from lorentzlab.errors import NoMaximalGeodesic, OutsideUniquenessRegion
-from lorentzlab.scenarios import equator_point, linear_time_f
+from lorentzlab.manifold import LocalGeometry
+from lorentzlab.scenarios import BUILTIN_SCENARIOS, equator_point, linear_time_f
+
+from test_jacobi import SWEEP_GEODESICS, _assert_close_to_loop
 
 
 def _spec_for(scen, n_points=7, **kw):
@@ -66,37 +69,73 @@ def test_convergence_constant_weight_independent_of_m(ds4):
 
 def test_f_generic_reports(mink4, ds4):
     frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    rep = check_f_generic(mink4.metric, mink4.weight, frame)
+    rep = check_f_generic(mink4.weight, frame)
     assert not rep.holds and rep.witness_t is None
 
     spec = ds4.geodesic("comoving")
     frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
-    rep = check_f_generic(ds4.metric, ds4.weight, frame)
+    rep = check_f_generic(ds4.weight, frame)
     assert rep.holds and rep.witness_t == pytest.approx(spec.span[0])
 
     # flat space with a quadratic-in-time weight: Hessian term switches it on
     quad = sinh_squared_f(1.0)  # sinh^2 ~ t^2 near 0, Hessian 2 at t = 0
     frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 3.0))
-    rep = check_f_generic(mink4.metric, quad, frame)
+    rep = check_f_generic(quad, frame)
     assert rep.holds
+
+
+def _f_generic_loop(f, frame, threshold=1e-9):
+    """check_f_generic's (holds, witness_t, max_norm), one geometry and one
+    R_f = R + (Hess f(v, v)/d + (df(v)/d)^2) E per sample."""
+    max_norm, witness = 0.0, None
+    ts = np.linspace(*frame.geodesic.span, 200)
+    for t, x, v, E in zip(ts, *frame.state(ts)):
+        geom, d = LocalGeometry(frame.geodesic.metric, x), len(E)
+        shift = (float(v @ geom.hessian(f) @ v) / d
+                 + (float(f.gradient(x) @ v) / d) ** 2)
+        nrm = float(np.max(np.abs(geom.curvature_matrix(v, E, E)
+                                  + shift * np.eye(d))))
+        max_norm = max(max_norm, nrm)
+        if witness is None and nrm > threshold:
+            witness = float(t)
+    return witness is not None, witness, max_norm
+
+
+@pytest.mark.parametrize("name, label", SWEEP_GEODESICS)
+def test_whole_grid_checks_match_the_sample_loop(name, label):
+    scen = BUILTIN_SCENARIOS[name]()
+    spec = scen.geodesic(label)
+    frame = parallel_frame(scen.metric, spec.p0, spec.v0, spec.span)
+    weights = [scen.weight, sinh_squared_f(1.0)]
+    if name == "minkowski4":  # a linear weight: R_f is a nonzero constant
+        weights.append(linear_time_f(0.7))
+    for f in weights:
+        rep = check_f_generic(f, frame)
+        holds, witness, max_norm = _f_generic_loop(f, frame)
+        assert (rep.holds, rep.witness_t) == (holds, witness)
+        _assert_close_to_loop(rep.max_norm, max_norm)
+    ts = np.linspace(*frame.geodesic.span, 7)
+    residuals = trace_identity_check(scen.weight, scen.params, frame, ts)
+    _assert_close_to_loop(residuals, [trace_identity_check(
+        scen.weight, scen.params, frame, t) for t in ts])
 
 
 def test_trace_identity_examples(mink4, ds4):
     # flat, linear weight: both sides equal a^2/3 for m = 2
     a = 1.0
     frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    res = trace_identity_check(mink4.metric, linear_time_f(a),
-                               BakryEmeryParams(m=2.0), frame, 2.0)
+    res = trace_identity_check(linear_time_f(a), BakryEmeryParams(m=2.0),
+                               frame, 2.0)
     assert res < 1e-12
 
     spec = ds4.geodesic("comoving")
     frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
-    res = trace_identity_check(ds4.metric, ds4.weight, ds4.params, frame, 0.5)
+    res = trace_identity_check(ds4.weight, ds4.params, frame, 0.5)
     assert res < 1e-6
-    res = trace_identity_check(ds4.metric, sinh_squared_f(2.0),
+    res = trace_identity_check(sinh_squared_f(2.0),
                                BakryEmeryParams(m=INFINITE_M), frame, 0.5)
     assert res < 1e-6
-    res = trace_identity_check(ds4.metric, sinh_squared_f(2.0),
+    res = trace_identity_check(sinh_squared_f(2.0),
                                BakryEmeryParams(m=3.0), frame, 0.5)
     assert res < 1e-6
 

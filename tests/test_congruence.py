@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lorentzlab import (BakryEmeryParams, EndomorphismSeries, INFINITE_M,
-                        constant_scalar, curvature_endomorphism,
-                        integrate_geodesic, integrate_jacobi,
-                        modified_endomorphism, parallel_frame,
+from lorentzlab import (BakryEmeryParams, INFINITE_M, constant_scalar,
+                        integrate_geodesic, integrate_jacobi, parallel_frame,
                         run_point_congruence, sinh_squared_f)
 from lorentzlab.congruence import geodesic_residual, quotient_invariance_residual
 from lorentzlab.errors import DomainViolation, IntegratorFailure, ZeroVector
 from lorentzlab.scenarios import linear_time_f
 
-from test_jacobi import SWEEP_GEODESICS
+from test_jacobi import SWEEP_GEODESICS, _assert_close_to_loop
 
 
 def _rk4_geodesic(metric, p0, v0, t_end, n_steps):
@@ -137,20 +135,20 @@ def test_drift_monitor_records_reorthogonalization(ds4):
     assert frame.gram_residual(6.0) < 1e-6
 
 
-def test_curvature_endomorphism_values(mink4, ds4, static4):
+def test_curvature_values(mink4, ds4, static4):
     frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    assert np.max(np.abs(curvature_endomorphism(mink4.metric, frame, 2.0))) \
+    assert np.max(np.abs(frame.curvature(2.0))) \
         < 1e-12
 
     spec = ds4.geodesic("comoving")
     frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     for t in (-1.0, 0.0, 2.0):
-        R = curvature_endomorphism(ds4.metric, frame, t)
+        R = frame.curvature(t)
         assert np.max(np.abs(R + np.eye(3))) < 1e-9
 
     spec = static4.geodesic("comoving")
     frame = parallel_frame(static4.metric, spec.p0, spec.v0, spec.span)
-    assert np.max(np.abs(curvature_endomorphism(static4.metric, frame, 1.0))) \
+    assert np.max(np.abs(frame.curvature(1.0))) \
         < 1e-10
 
 
@@ -158,7 +156,7 @@ def test_tilted_einstein_static_eigenvalues(static4):
     # boost chi = asinh(1): transverse eigenvalues sinh^2(chi) = 1, plus one 0
     spec = static4.geodesic("tilted")
     frame = parallel_frame(static4.metric, spec.p0, spec.v0, spec.span)
-    R = curvature_endomorphism(static4.metric, frame, 1.3)
+    R = frame.curvature(1.3)
     eig = np.sort(np.linalg.eigvalsh(R))
     assert np.allclose(eig, [0.0, 1.0, 1.0], atol=1e-8)
 
@@ -168,56 +166,60 @@ def test_null_quotient_endomorphism(ds4, static4):
     spec = ds4.geodesic("null_equatorial")
     frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
     for t in (0.2, 1.1):
-        assert np.max(np.abs(curvature_endomorphism(ds4.metric, frame, t))) \
+        assert np.max(np.abs(frame.curvature(t))) \
             < 1e-7
-        assert quotient_invariance_residual(ds4.metric, frame, t) < 1e-7
+        assert quotient_invariance_residual(frame, t) < 1e-7
 
     # product with a unit sphere: quotient endomorphism is the identity
     spec = static4.geodesic("null_equatorial")
     frame = parallel_frame(static4.metric, spec.p0, spec.v0, spec.span)
-    R = curvature_endomorphism(static4.metric, frame, 1.0)
+    R = frame.curvature(1.0)
     assert np.max(np.abs(R - np.eye(2))) < 1e-8
-    assert quotient_invariance_residual(static4.metric, frame, 1.0) < 1e-7
+    assert quotient_invariance_residual(frame, 1.0) < 1e-7
 
 
-def test_modified_endomorphism(mink4, ds4):
+def test_weighted_curvature(mink4, ds4):
     # constant weight reduces to the plain endomorphism
     frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0, 0, 0], (0.0, 5.0))
-    base = curvature_endomorphism(mink4.metric, frame, 1.0)
-    same = modified_endomorphism(mink4.metric, constant_scalar(4.2), frame, 1.0)
+    base = frame.curvature(1.0)
+    same = frame.curvature(1.0, constant_scalar(4.2))
     assert np.max(np.abs(base - same)) < 1e-12
 
     # flat space, linear weight: R_f = (a/3)^2 I
     a = 1.5
-    Rf = modified_endomorphism(mink4.metric, linear_time_f(a), frame, 2.0)
+    Rf = frame.curvature(2.0, linear_time_f(a))
     assert np.max(np.abs(Rf - (a / 3.0) ** 2 * np.eye(3))) < 1e-12
 
     # de Sitter with the sinh^2 weight at t = 0: (-1 + 2K^2/3) I
     K = 2.0
     spec = ds4.geodesic("comoving")
     frame = parallel_frame(ds4.metric, spec.p0, spec.v0, spec.span)
-    Rf = modified_endomorphism(ds4.metric, sinh_squared_f(K), frame, 0.0)
+    Rf = frame.curvature(0.0, sinh_squared_f(K))
     assert np.max(np.abs(Rf - (-1.0 + 2.0 * K ** 2 / 3.0) * np.eye(3))) < 1e-8
 
 
 def test_endomorphism_series_symmetry(ds4w, ds4w_comoving_run):
+    from lorentzlab.manifold import hessian_scalar
     run = ds4w_comoving_run
     series = run.series
     ts = np.linspace(run.geodesic.t0, run.geodesic.t1, 41)
     R = np.array([series(t) for t in ts])
     assert np.max(np.abs(R - np.swapaxes(R, 1, 2))) < 1e-7
-    # the series is a view: it evaluates R and R_f where it is asked
+    # the series is the frame's curvature: it evaluates R and R_f where it
+    # is asked
     t = 0.5 * (ts[10] + ts[11])
-    assert np.array_equal(series(t), curvature_endomorphism(
-        ds4w.metric, run.frame, t))
-    assert np.array_equal(series.modified(t), modified_endomorphism(
-        ds4w.metric, ds4w.weight, run.frame, t))
+    assert np.array_equal(series(t), run.frame.curvature(t))
+    x, v = run.geodesic.state(t)
+    shift = (v @ hessian_scalar(ds4w.metric, ds4w.weight, x) @ v / 3.0
+             + (ds4w.weight.gradient(x) @ v / 3.0) ** 2)
+    Rf = run.frame.curvature(t, ds4w.weight)
+    assert np.max(np.abs(Rf - series(t) - shift * np.eye(3))) \
+        <= 1e-12 * max(1.0, abs(shift))
 
 
 def test_unweighted_series_modified_is_R(ds4w_comoving_run):
     run = ds4w_comoving_run
-    plain = EndomorphismSeries(run.series.g, run.frame)
-    assert np.array_equal(plain.modified(0.3), run.series(0.3))
+    assert np.array_equal(run.frame.curvature(0.3, None), run.series(0.3))
 
 
 def test_series_outside_the_geodesic_span_is_domain_violation(frw4):
@@ -227,9 +229,9 @@ def test_series_outside_the_geodesic_span_is_domain_violation(frw4):
                              f=frw4.weight, jacobi_span=(0.0, 3.5))
     frame = parallel_frame(frw4.metric, spec.p0, spec.v0, spec.span)
     geo = frame.geodesic
-    series = EndomorphismSeries(frw4.metric, frame, frw4.weight)
+    series = frame.curvature
     for t in (geo.t0 - 0.1, geo.t1 + 1e-9, 3.5):
-        for evaluate in (series, series.modified):
+        for evaluate in (series, lambda t: series(t, frw4.weight)):
             with pytest.raises(DomainViolation):
                 evaluate(t)
     assert series(geo.t1).shape == (3, 3)
@@ -239,8 +241,8 @@ def test_f_generic_consistency(mink4, ds4w, ds4w_comoving_run):
     # flat space with constant weight: R_f vanishes along every geodesic
     frame = parallel_frame(mink4.metric, np.zeros(4), [1, 0.3, 0, 0], (0.0, 4.0))
     for t in np.linspace(0.0, 4.0, 9):
-        assert np.max(np.abs(modified_endomorphism(
-            mink4.metric, constant_scalar(0.0), frame, t))) < 1e-12
+        assert np.max(np.abs(frame.curvature(t, constant_scalar(0.0)))) \
+            < 1e-12
 
     # positive weighted curvature at a sample forces R_f != 0 there
     run = ds4w_comoving_run
@@ -248,7 +250,7 @@ def test_f_generic_consistency(mink4, ds4w, ds4w_comoving_run):
     ric = run.ric_fm_series(ds4w.metric, ds4w.weight, params,
                             ts=np.array([0.5]))
     assert ric[0] > 0.0
-    Rf = modified_endomorphism(ds4w.metric, ds4w.weight, run.frame, 0.5)
+    Rf = run.frame.curvature(0.5, ds4w.weight)
     assert np.max(np.abs(Rf)) > 1e-9
 
 
@@ -272,10 +274,9 @@ def test_series_builds_the_geometry_once_per_sample(ds4w):
     g, counts = _counting_metric(ds4w.metric)
     spec = ds4w.geodesic("comoving")
     frame = parallel_frame(g, spec.p0, spec.v0, spec.span)
-    series = EndomorphismSeries(g, frame, ds4w.weight)
     counts.update(dict.fromkeys(counts, 0))
     for t in np.linspace(*frame.geodesic.span, 50):
-        assert series.modified(t).shape == (3, 3)
+        assert frame.curvature(t, ds4w.weight).shape == (3, 3)
     assert counts == {"matrix": 50, "d_matrix": 50, "dd_matrix": 50}
     # a Hessian needs the connection only, not the curvature
     counts.update(dict.fromkeys(counts, 0))
@@ -288,7 +289,7 @@ def test_jacobi_solve_evaluates_R_once_per_rhs_call(ds4w):
     spec = ds4w.geodesic("comoving")
     frame = parallel_frame(g, spec.p0, spec.v0, spec.span)
     counts.update(dict.fromkeys(counts, 0))
-    traj = integrate_jacobi(EndomorphismSeries(g, frame),
+    traj = integrate_jacobi(frame.curvature,
                             np.zeros((3, 3)), np.eye(3), frame.geodesic.span)
     assert counts["dd_matrix"] == traj._sol.nfev > 0
 
@@ -308,7 +309,7 @@ def test_whole_grid_state_matches_pointwise_dense_output(ds4w):
 
 
 def test_stacked_ric_fm_series_builds_the_geometry_once_per_point(ds4w):
-    from lorentzlab.manifold import local_geometry
+    from lorentzlab.manifold import LocalGeometry
     g, counts = _counting_metric(ds4w.metric)
     spec = ds4w.geodesic("comoving")
     run = run_point_congruence(g, spec.p0, spec.v0, spec.span, f=ds4w.weight,
@@ -317,7 +318,7 @@ def test_stacked_ric_fm_series_builds_the_geometry_once_per_point(ds4w):
     counts.update(dict.fromkeys(counts, 0))
     ric = run.ric_fm_series(g, ds4w.weight, ds4w.params, ts)
     assert counts == {"matrix": 77, "d_matrix": 77, "dd_matrix": 77}
-    pointwise = [local_geometry(g, x).bakry_emery(ds4w.weight, ds4w.params, v, v)
+    pointwise = [LocalGeometry(g, x).bakry_emery(ds4w.weight, ds4w.params, v, v)
                  for x, v in zip(*run.geodesic.state(ts))]
     assert np.array_equal(ric, pointwise)
 
@@ -368,6 +369,19 @@ def test_parallel_frame_accuracy_over_the_whole_span(name, label):
     assert frame.reorth_events == []
 
 
+@pytest.mark.parametrize("name, label", SWEEP_GEODESICS)
+def test_whole_grid_curvature_matches_the_per_parameter_values(name, label):
+    from lorentzlab.scenarios import BUILTIN_SCENARIOS
+    scen = BUILTIN_SCENARIOS[name]()
+    spec = scen.geodesic(label)
+    frame = parallel_frame(scen.metric, spec.p0, spec.v0, spec.span)
+    ts = np.linspace(*frame.geodesic.span, 41)
+    for f in (None, scen.weight):
+        whole = frame.curvature(ts, f)
+        assert whole.shape == (41, frame.k, frame.k)
+        _assert_close_to_loop(whole, [frame.curvature(t, f) for t in ts])
+
+
 @pytest.mark.parametrize("label, span, rtol, atol, threshold", [
     ("comoving", (-1.2, 6.0), 1e-3, 1e-5, 1e-9),  # the drift test's setting
     ("null_equatorial", (0.0, 2.0), 1e-7, 1e-9, 1e-11),
@@ -404,7 +418,7 @@ def test_one_geodesic_solution_serves_every_stage(ds4w, ds4w_comoving_run,
         calls.append(np.shape(t))
         return dense(t)
     monkeypatch.setattr(run.geodesic, "_dense", counted)
-    curvature_endomorphism(ds4w.metric, run.frame, 0.3)
+    run.frame.curvature(0.3)
     assert calls == [()]
     calls.clear()
     x, v, E = run.frame.state(np.linspace(-0.5, 2.0, 9))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzlab import (integrate_jacobi, kinematics, minkowski,
-                        modified_endomorphism, parallel_frame,
-                        raychaudhuri_residual)
+                        parallel_frame, raychaudhuri_residual)
 from lorentzlab.congruence import _gram_schmidt_spacelike
 from lorentzlab.errors import FrameDegeneracy, InsufficientSamples
 from lorentzlab.scenarios import linear_time_f
@@ -25,12 +24,12 @@ def test_gram_schmidt_pivot_guard():
         _gram_schmidt_spacelike(g, [v, v.copy()], [], 2)
 
 
-def test_null_modified_endomorphism_uses_quotient_dimension(mink4):
+def test_null_weighted_curvature_uses_quotient_dimension(mink4):
     # flat space, linear weight along the null geodesic t = x = lambda:
     # (f o beta)' = a and Rbar_f = (a/(n-2))^2 * E on the 2d quotient
     a = 1.2
     frame = parallel_frame(mink4.metric, np.zeros(4), [1, 1, 0, 0], (0.0, 4.0))
-    Rf = modified_endomorphism(mink4.metric, linear_time_f(a), frame, 2.0)
+    Rf = frame.curvature(2.0, linear_time_f(a))
     assert Rf.shape == (2, 2)
     assert np.max(np.abs(Rf - (a / 2.0) ** 2 * np.eye(2))) < 1e-12
 

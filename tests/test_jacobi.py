@@ -144,7 +144,7 @@ def test_weighted_riccati_identity(ds4w, ds4w_comoving_run):
         t = ts_in[i]
         Bf = diag.B_f[sel][i]
         fp = diag.fprime[sel][i]
-        Rf = run.series.modified(t)
+        Rf = run.frame.curvature(t, ds4w.weight)
         resid = Rf + dBf[i] + Bf @ Bf + (2.0 / 3.0) * fp * Bf
         worst = max(worst, float(np.max(np.abs(resid))))
     assert worst < 5e-4  # matrix stencil on a steep weight
@@ -390,6 +390,46 @@ def test_null_focal_bound_positive_expansion_looks_to_the_past():
     assert rep.zeros[0].t == pytest.approx(-1.0, abs=1e-6)
     lo, hi = rep.predicted_interval
     assert (lo, hi) == pytest.approx((-1.0 - 1e-6, 0.0 + 1e-6))
+
+
+def test_null_focal_hypothesis_is_read_on_the_predicted_interval():
+    # defocusing curvature only beyond the predicted interval, on the past
+    # side of t1 = 0 and on its mirror image
+    past = verify_null_focal_bound(
+        lambda t: np.zeros((2, 2)) if t >= -1.0 else -5.0 * np.eye(2),
+        2.0, 0.0, 4)
+    future = verify_null_focal_bound(
+        lambda t: np.zeros((2, 2)) if t <= 1.0 else -5.0 * np.eye(2),
+        -2.0, 0.0, 4)
+    for rep, zero in ((past, -1.0), (future, 1.0)):
+        assert rep.hypothesis_ok and rep.verdict == "contained"
+        assert rep.zeros[0].t == pytest.approx(zero, abs=1e-6)
+
+
+def test_default_curvature_hypothesis_refuses_a_weighted_run(ds4w_comoving_run):
+    # tr R is Ric(c', c'), not Ric_f^m(c', c'), where (f o c)' != 0: at
+    # t = 0.5 it is -3 while Ric_f(c', c') is 27.1
+    run = ds4w_comoving_run
+    with pytest.raises(ValueError):
+        verify_interval_infinite(run.trajectory, run.diagnostics, 0.5, 4, 1e6)
+    with pytest.raises(ValueError):
+        verify_interval_finite_m(run.trajectory, run.diagnostics, 0.5, 4, 2.0)
+
+
+def test_f_values_array_on_a_backward_grid_matches_the_callable():
+    # sin(t) I integrated from t = 3 back to 0.5: a descending default grid
+    traj = integrate_jacobi(I3, math.sin(3.0) * I3, math.cos(3.0) * I3,
+                            (3.0, 0.5))
+    diag = kinematics(traj)
+    assert diag.ts[0] > diag.ts[-1]
+    reps = [verify_interval_infinite(traj, diag, 2.0, 4, 1.0, f_values=fv)
+            for fv in (0.1 * diag.ts, lambda t: 0.1 * t)]
+    assert reps[0].predicted_interval == pytest.approx(
+        reps[1].predicted_interval, abs=1e-12)
+    # t1 - (n - 1 + 2k - 2 f(t1))/theta_f(t1), with theta_f(t1) = 3 cot(2)
+    # read off the grid
+    assert reps[1].predicted_interval[1] == pytest.approx(
+        2.0 - 4.6 * math.tan(2.0) / 3.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

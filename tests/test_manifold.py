@@ -229,7 +229,7 @@ def _flat_derivatives(metric_matrix):
 @pytest.mark.parametrize("kind", sorted(BAD_METRICS))
 def test_every_pointwise_entry_rejects_bad_metrics(kind):
     from lorentzlab import integrate_geodesic
-    from lorentzlab.manifold import local_geometry
+    from lorentzlab.manifold import LocalGeometry
     bad = BAD_METRICS[kind]
     g = _flat_derivatives(lambda p: bad)
     p = np.zeros(2)
@@ -238,7 +238,7 @@ def test_every_pointwise_entry_rejects_bad_metrics(kind):
         with pytest.raises(SingularMetric, match="not finite"):
             g.at(p)
     for call in (lambda: g.at(p), lambda: g.inverse_at(p),
-                 lambda: local_geometry(g, p), lambda: riemann(g, p),
+                 lambda: LocalGeometry(g, p), lambda: riemann(g, p),
                  lambda: hessian_scalar(g, f, p),
                  lambda: integrate_geodesic(g, p, [1.0, 0.0], (0.0, 1.0))):
         with pytest.raises(SingularMetric):

@@ -181,7 +181,7 @@ def test_curvature_and_hessian_match_finite_difference_copy(name):
     # the analytic callbacks against central differences of the metric and
     # weight alone, at the relative tolerance of the benchmark's scan
     import dataclasses
-    from lorentzlab.manifold import local_geometry
+    from lorentzlab.manifold import LocalGeometry
     scen = BUILTIN_SCENARIOS[name]()
     fd_metric = dataclasses.replace(scen.metric, d_matrix=None, dd_matrix=None)
     weights = [scen.weight, sinh_squared_f(1.0)]
@@ -196,7 +196,7 @@ def test_curvature_and_hessian_match_finite_difference_copy(name):
             p[-1] = rng.uniform(0.0, 2.0 * math.pi)
         else:
             p[1:] = rng.uniform(-3.0, 3.0, n - 1)
-        exact, fd = local_geometry(scen.metric, p), local_geometry(fd_metric, p)
+        exact, fd = LocalGeometry(scen.metric, p), LocalGeometry(fd_metric, p)
         pairs = [(exact.riemann, fd.riemann)] + [
             (exact.hessian(f), fd.hessian(f_fd))
             for f, f_fd in zip(weights, fd_weights)]
