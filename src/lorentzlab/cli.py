@@ -24,6 +24,7 @@ from .comparison import SampleSpec, f_laplacian_distance, schwarz_gap, \
 from .errors import ConfigError, LorentzLabError, ParseError, ValidationError
 from .jacobi import detect_conjugate, raychaudhuri_residual
 from .manifold import riemann_lowered
+from .numerics import RTOL_FLOOR
 from .pipeline import (NormalCongruenceSpec, mean_curvature_evolution,
                        run_point_congruence)
 from .scenarios import BUILTIN_SCENARIOS, Scenario, certify_weighted_de_sitter
@@ -123,6 +124,9 @@ def parse_config(text: str) -> RunConfig:
         if not _positive(tol[key], 1.0 if rtol else FLOAT_MAX):
             violations.append(f"tolerance {key!r} must be positive"
                               + (" and below 1" if rtol else ""))
+        elif rtol and tol[key] < RTOL_FLOOR:
+            violations.append(f"tolerance 'rtol' must be at least the "
+                              f"integrator's floor {RTOL_FLOOR!r} (100 eps)")
     if (type(samples["n_timelike"]) is not int
             or not 1 <= samples["n_timelike"] <= MAX_TIMELIKE):
         violations.append(f"samples.n_timelike must be an integer in "

@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
-from .congruence import FrameField, integrate_geodesic, parallel_frame
+from .congruence import FrameField, geodesic_variation, parallel_frame
 from .errors import LorentzLabError, NoMaximalGeodesic, OutsideUniquenessRegion
 from .jacobi import integrate_jacobi
 from .manifold import (BakryEmeryParams, LocalGeometry, MetricField,
@@ -204,14 +203,24 @@ class LaplacianReport:
     slack_infinite: float
 
 
+# Newton shooting: most steps, the step (relative to max(1, |x|)) that ends
+# it, and how often a step whose solve fails is halved
+_NEWTON_ITERS = 20
+_NEWTON_XTOL = 1e-12
+_STEP_HALVINGS = 8
+
+
 def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
     """(v, rho): the past-directed unit timelike geodesic from apex with
     velocity v reaches q at arc length rho.
 
-    Unknowns are the spatial velocity components and rho; the time component
-    is fixed by unit normalization with the past root. A root whose residual,
-    solved at the caller's tolerances, misses q by more than 1e-8 (relative)
-    is spurious.
+    Unknowns are the spatial velocity components w and rho; the time
+    component is fixed by unit normalization with the past root.  Newton's
+    method takes the exact Jacobian of the residual c(rho) - q: the end-point
+    derivative of geodesic_variation through dv/dw, and c'(rho).  A trial step
+    whose solve fails or leaves the chart is halved, _STEP_HALVINGS times at
+    most.  A root whose residual, solved at the caller's tolerances, misses q
+    by more than 1e-8 (relative) is spurious.
     """
     n = g.dim
     apex = np.asarray(apex, dtype=float)
@@ -233,30 +242,56 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
             v[0] = (-b - np.sqrt(disc)) / (2.0 * a)
         return v
 
-    def residual(x):
+    def shoot(x):
+        """(residual, its Jacobian) at x = (w, rho); None where the shot
+        fails or leaves the chart."""
         w, rho = x[:-1], x[-1]
         v = assemble_velocity(w)
         if v is None or rho <= 0.0:
-            return np.full(n, 1e3)
+            return None
         try:
-            geo = integrate_geodesic(g, apex, v, (0.0, rho), rtol=rtol,
-                                     atol=atol, normalize=False)
+            geo, J = geodesic_variation(g, apex, v, (0.0, rho), rtol=rtol,
+                                        atol=atol)
         except (LorentzLabError, np.linalg.LinAlgError):
-            return np.full(n, 1e3)
+            return None
         if geo.exited_domain:
-            return np.full(n, 1e3)
-        return geo.point(rho) - q
+            return None
+        x_end, v_end = geo.state(rho)
+        Gv = G @ v  # g(v, dv) = 0 gives dv^0/dw
+        dv_dw = np.vstack([-Gv[1:] / Gv[0], np.eye(n - 1)])
+        return x_end - q, np.column_stack([J @ dv_dw, v_end])
 
     dp = q - apex
     rho_guess = max(np.sqrt(max(-float(dp @ G @ dp), 1e-4)), 1e-2)
-    w_guess = dp[1:] / rho_guess
-    sol = root(residual, np.concatenate([w_guess, [rho_guess]]),
-               method="hybr", tol=1e-12)
-    if not sol.success or sol.x[-1] <= 0.0:
-        raise NoMaximalGeodesic(f"shooting from {apex} to {q} failed: {sol.message}")
-    if np.max(np.abs(sol.fun)) > 1e-8 * max(1.0, np.max(np.abs(q))):
+    x = np.concatenate([dp[1:] / rho_guess, [rho_guess]])
+    shot = shoot(x)
+    if shot is None:
+        raise NoMaximalGeodesic(f"shooting from {apex} to {q} failed at the "
+                                "initial guess")
+    for _ in range(_NEWTON_ITERS):
+        try:
+            step = -np.linalg.solve(shot[1], shot[0])
+        except np.linalg.LinAlgError:
+            raise NoMaximalGeodesic(f"shooting from {apex} to {q} failed: "
+                                    "singular Jacobian") from None
+        if np.linalg.norm(step) <= _NEWTON_XTOL * max(1.0, np.linalg.norm(x)):
+            break
+        for _ in range(_STEP_HALVINGS + 1):
+            trial = shoot(x + step)
+            if trial is not None:
+                break
+            step = 0.5 * step
+        else:
+            raise NoMaximalGeodesic(
+                f"shooting from {apex} to {q} failed: a Newton step from {x} "
+                f"fails after {_STEP_HALVINGS} halvings")
+        x, shot = x + step, trial
+    else:
+        raise NoMaximalGeodesic(f"shooting from {apex} to {q} did not converge "
+                                f"in {_NEWTON_ITERS} Newton steps")
+    if np.max(np.abs(shot[0])) > 1e-8 * max(1.0, np.max(np.abs(q))):
         raise NoMaximalGeodesic("shooting converged to a spurious root")
-    return assemble_velocity(sol.x[:-1]), float(sol.x[-1])
+    return assemble_velocity(x[:-1]), float(x[-1])
 
 
 def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,

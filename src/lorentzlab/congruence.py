@@ -18,7 +18,7 @@ from . import manifold
 from .errors import FrameDegeneracy, IntegratorFailure
 from .manifold import (LocalGeometry, MetricField, ScalarField, christoffel,
                        christoffel_unchecked)
-from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, dense_in_span, join_dense,
+from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, DenseOutput,
                        ode_solve)
 
 TIMELIKE = "timelike"
@@ -42,7 +42,7 @@ class GeodesicTrajectory:
     _dense: object = field(repr=False)
 
     def _evaluate(self, t):  # [c, c', rows...], a column per parameter
-        return dense_in_span(self._dense, self.span, t, "geodesic")
+        return self._dense(t)
 
     def point(self, t):
         return self._evaluate(t)[: self.metric.dim]
@@ -105,17 +105,16 @@ def _initial_data(g: MetricField, p0, v0, normalize):
                 if np.isfinite(bound):
                     # y[c] - lo - d or hi - y[c] - d, positive inside
                     d = _EXIT_MARGIN * max(1.0, abs(bound))
-                    ev = (lambda t, y, c=c, b=bound, s=side, d=d:
-                          s * (y[c] - b) - d)
-                    ev.terminal = True
-                    events.append(ev)
+                    events.append(lambda t, y, c=c, b=bound, s=side, d=d:
+                                  s * (y[c] - b) - d)
     return np.vstack([p0, v0]), character, norm, events
 
 
-def _solve(g, character, norm, rows, span, rtol, atol, events):
-    """The geodesic whose state starts with rows, solved over span."""
-    sol = ode_solve(_transport_rhs(g), span, rows.ravel(), rtol=rtol,
-                    atol=atol, events=events)
+def _solve(rhs, g, character, norm, rows, span, rtol, atol, events):
+    """The geodesic whose state, moved by rhs, starts with rows, solved over
+    span."""
+    sol = ode_solve(rhs, span, rows.ravel(), rtol=rtol, atol=atol,
+                    events=events)
     return GeodesicTrajectory(
         metric=g, character=character, norm=norm, t0=span[0], t1=sol.t[-1],
         stats={"nfev": sol.nfev, "n_steps": len(sol.t), "status": sol.status},
@@ -131,9 +130,46 @@ def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
     the partial trajectory is returned with exited_domain set.
     """
     rows, character, norm, events = _initial_data(g, p0, v0, normalize)
-    traj = _solve(g, character, norm, rows, span, rtol, atol, events)
+    traj = _solve(_transport_rhs(g), g, character, norm, rows, span, rtol,
+                  atol, events)
     _check_norm_conservation(traj, rtol)
     return traj
+
+
+def _variation_rhs(g: MetricField):
+    """y = [x, v, dx_1..dx_n, dv_1..dv_n]: the geodesic, x' = v and
+    v' = -Gamma(v, v), with its variations dx_i' = dv_i and
+    dv_i' = -(d Gamma . dx_i)(v, v) - 2 Gamma(v, dv_i)."""
+    n = g.dim
+
+    def rhs(t, y):
+        x, v = y[:n], y[n: 2 * n]
+        dx, dv = y[2 * n:].reshape(2, n, n)
+        geom = LocalGeometry(g, x)
+        ddv = -(np.einsum("eabc,b,c,ie->ia", geom.dgamma, v, v, dx)
+                + 2.0 * np.einsum("abc,b,ic->ia", geom.gamma, v, dv))
+        return np.concatenate([v, -np.einsum("abc,b,c->a", geom.gamma, v, v),
+                               dv.ravel(), ddv.ravel()])
+    return rhs
+
+
+def geodesic_variation(g: MetricField, p0, v0, span, rtol, atol):
+    """(traj, J): the geodesic from (p0, v0) over span, as integrate_geodesic
+    solves it with normalize=False, and J[a, i] = d c^a(t1) / d v0^i at the
+    end t1 it reached.
+
+    J is the coordinate Jacobi tensor with J(0) = 0 and J'(0) = I
+    (Eschenburg & O'Sullivan, Math. Ann. 252, 1980), solved with the
+    geodesic by the variational equation, whose d Gamma comes from
+    LocalGeometry.dgamma.  Its norm is checked as integrate_geodesic's is.
+    """
+    rows, character, norm, events = _initial_data(g, p0, v0, normalize=False)
+    n = g.dim
+    traj = _solve(_variation_rhs(g), g, character, norm,
+                  np.vstack([rows, np.zeros((n, n)), np.eye(n)]), span, rtol,
+                  atol, events)
+    _check_norm_conservation(traj, rtol)
+    return traj, traj._evaluate(traj.t1).reshape(-1, n)[2: 2 + n].T
 
 
 _NORM_SAMPLES = 200  # least size of the norm check's uniform grid
@@ -298,9 +334,9 @@ def _orthonormal_rows(g: MetricField, character, rows, k):
 _MONITOR_INTERVALS = 32
 # The frame is solved at tolerances tighter than the geodesic's by this
 # factor: over a whole span in one solve, the 1e-9 Gram accuracy of the
-# transported rows needs it.  rtol stops at scipy's floor of 100 eps.
+# transported rows needs it.  rtol stops at the integrator's floor of
+# 100 eps, RTOL_FLOOR.
 _FRAME_TOL_FACTOR = 1e-3
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
@@ -328,8 +364,9 @@ def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
     if character == NULL:  # the partner comes from a timelike seed
         seeds = np.vstack([np.linalg.eigh(g.at(rows[0]))[1][:, 0], seeds])
     y0 = _orthonormal_rows(g, character, np.vstack([rows, seeds]), k)
-    tols = (max(rtol * _FRAME_TOL_FACTOR, _RTOL_FLOOR), atol * _FRAME_TOL_FACTOR)
-    piece = first = _solve(g, character, norm, y0, span, *tols, exits)
+    rhs = _transport_rhs(g)
+    tols = (max(rtol * _FRAME_TOL_FACTOR, RTOL_FLOOR), atol * _FRAME_TOL_FACTOR)
+    piece = first = _solve(rhs, g, character, norm, y0, span, *tols, exits)
     nodes = np.linspace(first.t0, first.t1, _MONITOR_INTERVALS + 1)
     events, pieces, nfev, start = [], [], 0, 0
     while True:
@@ -346,10 +383,10 @@ def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
         start += 1 + over[0]
         pieces.append((piece._dense, nodes[start]))
         y0 = _orthonormal_rows(g, character, frame._rows(nodes[start]), k)
-        piece = _solve(g, character, norm, y0, (nodes[start], first.t1), *tols,
-                       events=None)
+        piece = _solve(rhs, g, character, norm, y0, (nodes[start], first.t1),
+                       *tols, events=None)
 
-    dense = join_dense(pieces)
+    dense = DenseOutput.join(pieces)
     geo = replace(first, _dense=dense,
                   stats=dict(first.stats, nfev=nfev, n_steps=len(dense.ts)))
     _check_norm_conservation(geo, rtol)

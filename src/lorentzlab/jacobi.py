@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (ConjugatePointInRange, InsufficientSamples,
                      InvalidInitialData, QuadratureNearSingularity)
 from .manifold import INFINITE_M
 from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson,
-                       dense_in_span, golden_minimize, ode_solve,
+                       brent_root, check_in_span, golden_minimize, ode_solve,
                        stencil_derivative)
 
 KERNEL_TOL = 1e-10
@@ -93,7 +92,7 @@ class JacobiTrajectory:
     def states(self, t):
         """(A(t), A'(t)) from one dense evaluation; DomainViolation for a
         parameter outside the span."""
-        y = dense_in_span(self._sol.sol, self.span, t, "Jacobi solution").T
+        y = self._sol.sol(t).T
         stack = y.reshape(y.shape[:-1] + (2, self.k, self.k))
         return stack[..., 0, :, :], stack[..., 1, :, :]
 
@@ -182,7 +181,9 @@ class CongruenceDiagnostics:
     logdet_identity_residual: np.ndarray
 
     def at(self, t, values):
-        """values, one per sample of ts, interpolated linearly at t."""
+        """values, one per sample of ts, interpolated linearly at t;
+        DomainViolation for a t outside the grid."""
+        check_in_span(t, (self.ts[0], self.ts[-1]), "diagnostics grid")
         order = np.argsort(self.ts)  # backward runs store descending grids
         return float(np.interp(t, self.ts[order],
                                np.asarray(values, dtype=float)[order]))
@@ -364,7 +365,7 @@ def detect_conjugate(traj: JacobiTrajectory) -> ConjugateReport:
         if det[i] == 0.0:
             continue
         if np.sign(det[i]) * np.sign(det[i + 1]) < 0:
-            root = brentq(traj.det_A, ts[i], ts[i + 1], xtol=_REFINE_TOL)
+            root = brent_root(traj.det_A, ts[i], ts[i + 1], xtol=_REFINE_TOL)
             if initial_zero and abs(root - start) <= collar:
                 continue
             zeros.append(ConjugateZero(t=float(root), certificate="sign_change",

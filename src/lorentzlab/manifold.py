@@ -284,8 +284,9 @@ class LocalGeometry:
     (N, n) stack of points, validated once.
 
     G, G_inv, dG[c, a, b] = d_c g_ab and gamma[a, b, c] = Gamma^a_{bc} are
-    built on construction; riemann and ricci the first time one is read, so
-    consumers of gamma alone (Hessians) never evaluate second derivatives.
+    built on construction; dgamma[e, a, b, c] = d_e Gamma^a_{bc}, riemann and
+    ricci the first time one is read, so consumers of gamma alone (Hessians)
+    never evaluate second derivatives.
     For a stack every array gains a leading row axis, and each row is equal,
     bit for bit, to the geometry of that point alone.  The stack is checked
     by one validation that names the first offending row.  Its riemann holds
@@ -306,14 +307,19 @@ class LocalGeometry:
         self.gamma = _christoffel_core(self.G_inv, _bracket(self.dG))
 
     @cached_property
-    def riemann(self) -> np.ndarray:
-        """R[a, b, c, d] = R^a_{bcd}."""
+    def dgamma(self) -> np.ndarray:
+        """dgamma[e, a, b, c] = d_e Gamma^a_{bc}."""
         ginv, ddg = self.G_inv, self.metric.second_derivatives(self.p)
         # d_e g^{ad} = -g^{af} (d_e g_fh) g^{hd}
         dginv = -np.einsum("...af,...efh,...hd->...ead", ginv, self.dG, ginv)
-        dgamma = (0.5 * np.einsum("...ead,...dbc->...eabc", dginv,
-                                  _bracket(self.dG))
-                  + _christoffel_core(ginv[..., None, :, :], _bracket(ddg)))
+        return (0.5 * np.einsum("...ead,...dbc->...eabc", dginv,
+                                _bracket(self.dG))
+                + _christoffel_core(ginv[..., None, :, :], _bracket(ddg)))
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """R[a, b, c, d] = R^a_{bcd}."""
+        dgamma = self.dgamma
         quad = np.einsum("...ace,...edb->...abcd", self.gamma, self.gamma)
         return (np.einsum("...cadb->...abcd", dgamma)
                 - np.einsum("...dacb->...abcd", dgamma)

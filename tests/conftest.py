@@ -43,14 +43,15 @@ def quartic_2d():
 
 @pytest.fixture
 def ode_solves(monkeypatch):
-    """A list that gains an entry at every ode_solve."""
-    from lorentzlab import numerics
-    solves, solve_ivp = [], numerics.solve_ivp
+    """A list that gains an entry, the span, at every ode_solve."""
+    from lorentzlab import congruence, jacobi, numerics
+    solves = []
 
-    def counted(*args, **kwargs):
-        solves.append(args[1])
-        return solve_ivp(*args, **kwargs)
-    monkeypatch.setattr(numerics, "solve_ivp", counted)
+    def counted(rhs, span, *args, **kwargs):
+        solves.append(span)
+        return numerics.ode_solve(rhs, span, *args, **kwargs)
+    for module in (congruence, jacobi):
+        monkeypatch.setattr(module, "ode_solve", counted)
     return solves
 
 

@@ -198,6 +198,9 @@ def test_schwarz_check_fails_for_wrong_denominator(monkeypatch):
                  id="check_not_string"),
     pytest.param({"tolerances": {"rtol": 1e300}},
                  "'rtol' must be positive and below 1", id="rtol_above_1"),
+    pytest.param({"tolerances": {"rtol": 1e-16}},
+                 "'rtol' must be at least the integrator's floor",
+                 id="rtol_below_the_integrator_floor"),
     pytest.param({"samples": {"n_timelike": 10 ** 9}},
                  "n_timelike must be an integer in", id="n_timelike_above_bound"),
 ])

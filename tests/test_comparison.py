@@ -233,16 +233,19 @@ def test_f_laplacian_solves_the_shot_geodesic_once(ds4w, monkeypatch,
     apex = equator_point(4, 1.5)
     q = apex.copy()
     q[0] = 0.3
-    residuals, root = [], comparison.root
+    shots, variation = [], comparison.geodesic_variation
 
-    def counted_root(fun, x0, **kwargs):
-        return root(lambda x: residuals.append(x) or fun(x), x0, **kwargs)
-    monkeypatch.setattr(comparison, "root", counted_root)
+    def counted(*args, **kwargs):
+        shots.append(args[3])
+        return variation(*args, **kwargs)
+    monkeypatch.setattr(comparison, "geodesic_variation", counted)
     f_laplacian_distance(ds4w.metric, ds4w.weight, apex, q,
                          uniqueness=ds4w.uniqueness)
-    # a bare geodesic per shooting residual, then the joint geodesic-and-frame
-    # solve and the Jacobi solve
-    assert len(ode_solves) == len(residuals) + 2
+    # a geodesic-and-variation solve per Newton iterate, then the joint
+    # geodesic-and-frame solve and the Jacobi solve; the comoving guess is
+    # the root here, so Newton stops at once
+    assert len(ode_solves) == len(shots) + 2
+    assert len(shots) <= 2
 
 
 def test_f_laplacian_guards(mink4):

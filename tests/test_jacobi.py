@@ -10,8 +10,8 @@ from lorentzlab import (INFINITE_M, BakryEmeryParams, NormalCongruenceSpec,
                         raychaudhuri_residual, run_point_congruence,
                         run_synthetic_congruence, verify_interval_finite_m,
                         verify_interval_infinite, verify_null_focal_bound)
-from lorentzlab.errors import (ConjugatePointInRange, InvalidInitialData,
-                               QuadratureNearSingularity)
+from lorentzlab.errors import (ConjugatePointInRange, DomainViolation,
+                               InvalidInitialData, QuadratureNearSingularity)
 from lorentzlab.jacobi import jacobi_residual
 from lorentzlab.numerics import stencil_derivative
 
@@ -583,3 +583,17 @@ def test_states_stacks_A_and_Aprime():
     assert np.max(np.abs(A - exact)) < 1e-9
     assert np.array_equal(A[3], traj.A(ts[3]))
     assert np.array_equal(Ap[3], traj.Aprime(ts[3]))
+
+
+def test_diagnostics_read_off_their_grid_is_domain_violation():
+    # A = sin(t) E: theta = 3 cot t, sampled on [0.5, 6.2] only
+    traj = integrate_jacobi(I3, Z3, I3, (0.0, 6.2))
+    diag = kinematics(traj, ts=np.linspace(0.5, 6.2, 1141))
+    assert diag.theta_f_at(1.0) == pytest.approx(3.0 / math.tan(1.0), rel=1e-4)
+    assert diag.theta_f_at(0.5) == pytest.approx(3.0 / math.tan(0.5), rel=1e-8)
+    # np.interp read 5.49, the value at 0.5, for the true 3 cot(0.2) = 14.80
+    for read in (diag.theta_f_at,
+                 lambda t: diag.at(t, np.zeros(1141)),
+                 lambda t: verify_interval_finite_m(traj, diag, t, 4, 1.0)):
+        with pytest.raises(DomainViolation):
+            read(0.2)

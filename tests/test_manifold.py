@@ -333,3 +333,12 @@ def test_stacked_geometry_names_the_first_bad_row(kind):
     with pytest.raises(SingularMetric, match=r"at \[ *0\. +39\. *\]"):
         LocalGeometry(g, stack)
     assert LocalGeometry(g, stack[:39]).G_inv.shape == (39, 2, 2)
+
+
+def test_dgamma_matches_central_differences_of_christoffel(ds4w):
+    # d_e Gamma^a_bc from the analytic second derivatives, against
+    # differences of the analytic Christoffel symbols
+    g, p, h = ds4w.metric, np.array([0.4, 1.2, 1.9, 0.7]), 1e-6
+    fd = np.array([(christoffel(g, p + h * e) - christoffel(g, p - h * e))
+                   / (2.0 * h) for e in np.eye(4)])
+    assert np.max(np.abs(LocalGeometry(g, p).dgamma - fd)) <= 1e-7
