@@ -204,7 +204,8 @@ class LaplacianReport:
 
 
 # Newton shooting: most steps, the step (relative to max(1, |x|)) that ends
-# it, and how often a step whose solve fails is halved
+# it, and how often a step whose solve fails or does not shrink the residual
+# is halved
 _NEWTON_ITERS = 20
 _NEWTON_XTOL = 1e-12
 _STEP_HALVINGS = 8
@@ -218,9 +219,10 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
     component is fixed by unit normalization with the past root.  Newton's
     method takes the exact Jacobian of the residual c(rho) - q: the end-point
     derivative of geodesic_variation through dv/dw, and c'(rho).  A trial step
-    whose solve fails or leaves the chart is halved, _STEP_HALVINGS times at
-    most.  A root whose residual, solved at the caller's tolerances, misses q
-    by more than 1e-8 (relative) is spurious.
+    whose solve fails, leaves the chart or does not shrink max|c(rho) - q| is
+    halved, _STEP_HALVINGS times at most.  A root whose residual, solved at
+    the caller's tolerances, misses q by more than 1e-8 (relative) is
+    spurious.
     """
     n = g.dim
     apex = np.asarray(apex, dtype=float)
@@ -278,13 +280,15 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
             break
         for _ in range(_STEP_HALVINGS + 1):
             trial = shoot(x + step)
-            if trial is not None:
+            if (trial is not None
+                    and np.max(np.abs(trial[0])) < np.max(np.abs(shot[0]))):
                 break
             step = 0.5 * step
         else:
             raise NoMaximalGeodesic(
                 f"shooting from {apex} to {q} failed: a Newton step from {x} "
-                f"fails after {_STEP_HALVINGS} halvings")
+                f"fails or does not shrink the residual after {_STEP_HALVINGS} "
+                "halvings")
         x, shot = x + step, trial
     else:
         raise NoMaximalGeodesic(f"shooting from {apex} to {q} did not converge "

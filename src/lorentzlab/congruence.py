@@ -42,7 +42,7 @@ class GeodesicTrajectory:
     _dense: object = field(repr=False)
 
     def _evaluate(self, t):  # [c, c', rows...], a column per parameter
-        return self._dense(t)
+        return self._dense(t, "geodesic")
 
     def point(self, t):
         return self._evaluate(t)[: self.metric.dim]

@@ -92,7 +92,7 @@ class JacobiTrajectory:
     def states(self, t):
         """(A(t), A'(t)) from one dense evaluation; DomainViolation for a
         parameter outside the span."""
-        y = self._sol.sol(t).T
+        y = self._sol.sol(t, "Jacobi solution").T
         stack = y.reshape(y.shape[:-1] + (2, self.k, self.k))
         return stack[..., 0, :, :], stack[..., 1, :, :]
 

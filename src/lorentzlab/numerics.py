@@ -60,17 +60,11 @@ def check_in_span(t, span, what):
     """DomainViolation unless t, one parameter or an array of them, lies in
     span, up to _SPAN_SLACK."""
     lo, hi = sorted(span)
-    if np.ndim(t) == 0:
-        if lo - _SPAN_SLACK <= t <= hi + _SPAN_SLACK:
-            return
-        outside = t
-    else:
-        ts = np.asarray(t, dtype=float)
-        bad = ts[~((ts >= lo - _SPAN_SLACK) & (ts <= hi + _SPAN_SLACK))]
-        if not bad.size:
-            return
-        outside = bad[0]
-    raise DomainViolation(f"t={outside} outside the {what}'s span [{lo}, {hi}]")
+    ts = np.asarray(t, dtype=float)
+    outside = ts[~((ts >= lo - _SPAN_SLACK) & (ts <= hi + _SPAN_SLACK))]
+    if outside.size:
+        raise DomainViolation(f"t={outside[0]} outside the {what}'s span "
+                              f"[{lo}, {hi}]")
 
 
 class DenseOutput:
@@ -82,7 +76,7 @@ class DenseOutput:
     where a terminal event or a join cut the step short.  A breakpoint reads
     the earlier segment.  One parameter gives y of shape (n,), an array of N
     an (n, N) array from one pass; a parameter off the span raises
-    DomainViolation.
+    DomainViolation, whose message names the object read as what.
     """
 
     def __init__(self, ts, h, y0, Q):
@@ -94,8 +88,8 @@ class DenseOutput:
         self._inner = ts[1:-1] if self._ascending else ts[-2:0:-1]
         self._side = "left" if self._ascending else "right"
 
-    def __call__(self, t):
-        check_in_span(t, self.span, "solution")
+    def __call__(self, t, what="solution"):
+        check_in_span(t, self.span, what)
         t = np.asarray(t, dtype=float)
         seg = np.searchsorted(self._inner, t, side=self._side)
         if not self._ascending:

@@ -334,11 +334,11 @@ def test_dense_output_outside_its_span_is_domain_violation(frw4):
                                              frw4.params, ts=[t])):
         with pytest.raises(DomainViolation):
             read(t1 + 2.0)
-    # one parameter outside an array is enough
-    with pytest.raises(DomainViolation):
+    # one parameter outside an array is enough; the message names the object
+    with pytest.raises(DomainViolation, match="geodesic's span"):
         run.geodesic.state(np.array([a, 0.0, t1 + 2.0]))
     traj = run.trajectory
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match="Jacobi solution's span"):
         traj.states(traj.t1 + 0.5)
     # diagnostics past the Jacobi span are refused, not extrapolated
     with pytest.raises(DomainViolation):
@@ -414,9 +414,9 @@ def test_one_geodesic_solution_serves_every_stage(ds4w, ds4w_comoving_run,
     calls = []
     dense = run.geodesic._dense
 
-    def counted(t):
+    def counted(t, what):
         calls.append(np.shape(t))
-        return dense(t)
+        return dense(t, what)
     monkeypatch.setattr(run.geodesic, "_dense", counted)
     run.frame.curvature(0.3)
     assert calls == [()]

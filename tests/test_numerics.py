@@ -214,18 +214,9 @@ def test_newton_shooting_reproduces_the_packaged_pairs():
                 assert abs(got - want) <= PAIR_RTOL * max(1.0, abs(want))
 
 
-def test_newton_shooting_off_the_comoving_direction_matches_root(ds4w):
-    """A target the initial guess misses: Newton's root against the hybrid
-    root scipy finds for the same residual from the same guess."""
-    g = ds4w.metric
-    apex = scenarios.equator_point(4, 1.5)
-    q = apex + np.array([-1.0, 0.15, -0.1, 0.2])
-    v, rho = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
-    assert g.inner(apex, v, v) == pytest.approx(-1.0, abs=1e-12)
-    end = integrate_geodesic(g, apex, v, (0.0, rho), rtol=1e-10, atol=1e-12,
-                             normalize=False).point(rho)
-    assert np.max(np.abs(end - q)) <= 1e-9
-
+def _hybr_shooting_root(g, apex, q):
+    """(w, rho) from scipy's hybrid root of the residual Newton shoots on,
+    from the same initial guess."""
     G = g.at(apex)
 
     def residual(x):  # the past-directed unit velocity with spatial part w
@@ -242,8 +233,52 @@ def test_newton_shooting_off_the_comoving_direction_matches_root(ds4w):
     guess = np.sqrt(-float(dp @ G @ dp))
     ref = root(residual, np.concatenate([dp[1:] / guess, [guess]]), tol=1e-12)
     assert ref.success
-    assert np.allclose(np.concatenate([v[1:], [rho]]), ref.x, rtol=0.0,
-                       atol=1e-8)
+    return ref.x
+
+
+def _assert_shot_matches_hybr(g, apex, q, v, rho):
+    assert g.inner(apex, v, v) == pytest.approx(-1.0, abs=1e-12)
+    end = integrate_geodesic(g, apex, v, (0.0, rho), rtol=1e-10, atol=1e-12,
+                             normalize=False).point(rho)
+    assert np.max(np.abs(end - q)) <= 1e-9
+    assert np.allclose(np.concatenate([v[1:], [rho]]),
+                       _hybr_shooting_root(g, apex, q), rtol=0.0, atol=1e-8)
+
+
+def test_newton_shooting_off_the_comoving_direction_matches_root(ds4w):
+    """A target the initial guess misses: Newton's root against the hybrid
+    root scipy finds for the same residual from the same guess."""
+    g = ds4w.metric
+    apex = scenarios.equator_point(4, 1.5)
+    q = apex + np.array([-1.0, 0.15, -0.1, 0.2])
+    v, rho = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
+    _assert_shot_matches_hybr(g, apex, q, v, rho)
+
+
+def test_a_newton_step_that_grows_the_residual_is_halved(ds4w, monkeypatch):
+    """A target far off the comoving direction, 0.9 proper length units
+    aside at one unit of coordinate time back (the target above is 0.63
+    aside): the first full Newton step solves but overshoots, so its half is
+    taken; the root still matches scipy's hybrid root."""
+    g = ds4w.metric
+    apex = scenarios.equator_point(4, 1.5)
+    G = g.at(apex)
+    aside = np.array([0.15, -0.1, 0.2])
+    aside *= 0.9 / np.sqrt(aside @ G[1:, 1:] @ aside)
+    q = apex + np.concatenate([[-1.0], aside])
+    real, shots = comparison.geodesic_variation, []
+
+    def recorded(*args, **kwargs):
+        geo, J = real(*args, **kwargs)
+        rho = args[3][1]
+        shots.append((rho, np.max(np.abs(geo.point(rho) - q))))
+        return geo, J
+    monkeypatch.setattr(comparison, "geodesic_variation", recorded)
+    v, rho = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
+    (rho0, res0), (rho1, res1), (rho2, res2) = shots[:3]
+    assert res1 > res0 > res2
+    assert rho2 - rho0 == pytest.approx((rho1 - rho0) / 2, rel=1e-12)
+    _assert_shot_matches_hybr(g, apex, q, v, rho)
 
 
 def test_a_newton_step_whose_solve_fails_is_halved(ds4w, monkeypatch):
