@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruence import FrameField, geodesic_variation, parallel_frame
-from .errors import LorentzLabError, NoMaximalGeodesic, OutsideUniquenessRegion
+from .errors import (LorentzLabError, NoMaximalGeodesic, NonFiniteSample,
+                     OutsideUniquenessRegion)
 from .jacobi import integrate_jacobi
 from .manifold import (BakryEmeryParams, LocalGeometry, MetricField,
-                       ScalarField, bakry_emery_ricci)
+                       ScalarField, _dot, bakry_emery_ricci, blockwise)
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson, spawn_rngs
 
 
@@ -29,6 +30,8 @@ class SampleSpec:
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if not self.points.size:
+            raise ValueError("at least one sample point is required")
         if self.n_timelike < 1:
             raise ValueError("at least one direction per point is required")
 
@@ -43,52 +46,49 @@ class ConditionReport:
     threshold: float
 
 
-def _orthonormal_basis(g: MetricField, p):
-    """Frame (e_0 timelike unit, e_1..e_{n-1} spacelike unit) at p."""
-    G = g.at(p)
-    eigval, eigvec = np.linalg.eigh(G)
-    e0 = eigvec[:, 0] / np.sqrt(-float(eigvec[:, 0] @ G @ eigvec[:, 0]))
+def sample_plan(g: MetricField, spec: SampleSpec):
+    """(points, directions): the deterministic sample set, directions[i, j]
+    the j-th of the spec.n_timelike unit timelike vectors at points[i].
+
+    Each direction is v = cosh(chi) e0 + sinh(chi) u, with e0 the timelike
+    unit and u a unit combination of the spacelike units of a frame that
+    Gram-Schmidt builds from the eigenvectors of g.  Boost-parameter sampling
+    covers the near-null cone where the sign of the weighted curvature can
+    flip.  Per-point generators are spawned from the seed, so the plan does
+    not depend on evaluation order and two specs with the same seed sample
+    the same directions.
+    """
+    points = spec.points
+    G = g.at(points)
+    vecs = np.swapaxes(np.linalg.eigh(G)[1], -1, -2)  # vecs[:, i]: i-th eigenvector
+    e0 = vecs[:, 0] / np.sqrt(-_dot(vecs[:, 0], vecs[:, 0], G))[:, None]
     spatial = []
     for i in range(1, g.dim):
-        w = eigvec[:, i]
-        w = w + float(w @ G @ e0) * e0
+        w = vecs[:, i] + _dot(vecs[:, i], e0, G)[:, None] * e0
         for e in spatial:
-            w = w - float(w @ G @ e) * e
-        spatial.append(w / np.sqrt(float(w @ G @ w)))
-    return e0, spatial
+            w = w - _dot(w, e, G)[:, None] * e
+        spatial.append(w / np.sqrt(_dot(w, w, G))[:, None])
+    shape = (len(points), spec.n_timelike)
+    chi, u = np.empty(shape), np.empty(shape + (g.dim - 1,))
+    for i, rng in enumerate(spawn_rngs(spec.seed, len(points))):
+        for j in range(spec.n_timelike):  # per sample: chi, then u
+            chi[i, j] = rng.uniform(0.0, spec.chi_max)
+            u[i, j] = rng.normal(size=g.dim - 1)
+    u = u / np.sqrt(_dot(u, u))[..., None]
+    udir = sum(u[..., c, None] * e[:, None] for c, e in enumerate(spatial))
+    return points, (np.cosh(chi)[..., None] * e0[:, None]
+                    + np.sinh(chi)[..., None] * udir)
 
 
-def _sample_directions(g, p, rng, n_timelike, chi_max):
-    """Unit timelike v = cosh(chi) e0 + sinh(chi) u.
-
-    Boost-parameter sampling covers the near-null cone where the sign of the
-    weighted curvature can flip.
-    """
-    e0, spatial = _orthonormal_basis(g, p)
-    k = len(spatial)
-    out = []
-    for _ in range(n_timelike):
-        chi = rng.uniform(0.0, chi_max)
-        u = rng.normal(size=k)
-        u /= np.linalg.norm(u)
-        udir = sum(c * e for c, e in zip(u, spatial))
-        out.append(np.cosh(chi) * e0 + np.sinh(chi) * udir)
-    return out
-
-
-def sample_plan(g: MetricField, spec: SampleSpec):
-    """Materialize the deterministic (point, directions) sample set.
-
-    Per-point generators are spawned from the seed, so the plan does not
-    depend on evaluation order and two specs with the same seed sample the
-    same directions.
-    """
-    rngs = spawn_rngs(spec.seed, len(spec.points))
-    plan = []
-    for p, rng in zip(spec.points, rngs):
-        vs = _sample_directions(g, p, rng, spec.n_timelike, spec.chi_max)
-        plan.append((np.asarray(p, dtype=float), vs))
-    return plan
+def finite_samples(values, points, directions):
+    """values[i, j, ...], sampled at points[i] in directions[i, j]; raises
+    NonFiniteSample naming the first sample where one is NaN or infinite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)[:2]
+        raise NonFiniteSample(f"sampled value not finite at point {points[i]} "
+                              f"in direction {directions[i, j]}")
+    return values
 
 
 def check_timelike_convergence(g: MetricField, f: ScalarField,
@@ -97,29 +97,30 @@ def check_timelike_convergence(g: MetricField, f: ScalarField,
     """Minimum of Ric_f^m(v, v) over sampled unit timelike directions.
 
     The pointwise tensors Ric + Hess f and df are evaluated once per sample
-    point and contracted against all directions, so dense direction sampling
-    is cheap.  Passes iff the sampled minimum stays above threshold.
+    point, on stacked geometry in blocks of points, and contracted against
+    all directions, so dense direction sampling is cheap.  The argmin is the
+    first minimal sample in plan order.  Passes iff the sampled minimum stays
+    above threshold; a sample that is not finite raises NonFiniteSample.
     """
-    best = np.inf
-    arg_p, arg_v = None, None
-    count = 0
-    for p, vs in sample_plan(g, spec):
-        geom = LocalGeometry(g, p)
-        tensor = geom.ricci + geom.hessian(f)
-        df = f.gradient(p)
-        for v in vs:
-            val = float(v @ tensor @ v)
-            if params.finite:
-                val -= float(df @ v) ** 2 / params.m
-            count += 1
-            if val < best:
-                best, arg_p, arg_v = val, p.copy(), v.copy()
+    points, dirs = sample_plan(g, spec)
+
+    def values(geom, v):
+        val = _dot(v, v, (geom.ricci + geom.hessian(f))[:, None])
+        if params.finite:
+            # float_power is C pow, as the float ** 2 of a single sample
+            df_v = _dot(f.gradient(geom.p)[:, None], v)
+            val = val - np.float_power(df_v, 2.0) / params.m
+        return val
+
+    vals = finite_samples(blockwise(g, points, values, dirs), points, dirs)
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    best, arg_p, arg_v = float(vals[i, j]), points[i].copy(), dirs[i, j].copy()
     recheck = bakry_emery_ricci(g, f, params, arg_p, arg_v, arg_v)
     if abs(recheck - best) > 1e-12 * max(1.0, abs(best)):
         raise AssertionError("argmin re-evaluation mismatch")
     return ConditionReport(min_value=best, argmin_point=arg_p,
                            argmin_vector=arg_v, passed=best >= threshold,
-                           n_samples=count, threshold=threshold)
+                           n_samples=vals.size, threshold=threshold)
 
 
 @dataclass

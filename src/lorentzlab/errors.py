@@ -41,6 +41,10 @@ class InsufficientSamples(LorentzLabError):
     """Too few samples for the requested numerical differentiation."""
 
 
+class NonFiniteSample(LorentzLabError):
+    """A sampled certificate's value is NaN or infinite."""
+
+
 class NoMaximalGeodesic(LorentzLabError):
     """Shooting from apex to target did not converge to a timelike geodesic."""
 

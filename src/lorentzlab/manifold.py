@@ -274,7 +274,8 @@ def _first(points, ok):
 
 def _dot(v, w, M=None):
     """v @ M @ w, or v @ w, row by row for stacks.  One point and a stack go
-    through the same matmul, so a stacked row rounds as that point alone."""
+    through the same matmul, so a stacked row rounds as that point alone.
+    The sampled certificates contract their whole grids with it."""
     v = v[..., None, :] if M is None else v[..., None, :] @ M
     return (v @ w[..., :, None])[..., 0, 0]
 
@@ -291,7 +292,7 @@ class LocalGeometry:
     bit for bit, to the geometry of that point alone.  The stack is checked
     by one validation that names the first offending row.  Its riemann holds
     several (N, n, n, n, n) temporaries, so long grids are best taken in
-    blocks of rows.
+    blocks of rows, as blockwise does.
     """
 
     def __init__(self, metric: MetricField, p):
@@ -355,6 +356,21 @@ class LocalGeometry:
         # (R(E_i, v) v)^a = R^a_{bcd} v^b E_i^c v^d
         img = np.einsum("...abcd,...b,...ic,...d->...ia", self.riemann, v, E_in, v)
         return np.einsum("...jb,...ab,...ia->...ji", E_out, self.G, img)
+
+
+# rows per stacked LocalGeometry in blockwise: its Riemann tensor holds
+# several (rows, n, n, n, n) temporaries, so a whole grid at once costs
+# memory, while blocks of 32 rows are as fast
+_BLOCK = 32
+
+
+def blockwise(metric: MetricField, points, fn, *rows):
+    """fn(geometry, *blocks) on consecutive blocks of rows of the (N, n)
+    points, each array of rows cut into the same blocks, concatenated."""
+    return np.concatenate([
+        fn(LocalGeometry(metric, points[i:i + _BLOCK]),
+           *(r[i:i + _BLOCK] for r in rows))
+        for i in range(0, len(points), _BLOCK)])
 
 
 def christoffel(g: MetricField, p) -> np.ndarray:

@@ -10,22 +10,11 @@ import numpy as np
 from .congruence import GeodesicTrajectory, FrameField, parallel_frame
 from .jacobi import (CongruenceDiagnostics, JacobiTrajectory, integrate_jacobi,
                      kinematics)
-from .manifold import (INFINITE_M, BakryEmeryParams, LocalGeometry,
-                       MetricField, ScalarField)
+from .manifold import (INFINITE_M, BakryEmeryParams, MetricField, ScalarField,
+                       blockwise)
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, stencil_derivative
 
-# rows per stacked LocalGeometry: its Riemann tensor holds several
-# (rows, n, n, n, n) temporaries, so a whole grid at once costs memory,
-# while blocks of 32 rows are as fast
-_BLOCK = 32
 _DIAG_SAMPLES = 801  # size of the default uniform diagnostics grid
-
-
-def _blockwise(g, xs, vs, fn):
-    """fn(geometry, velocities) on consecutive blocks of rows of the points
-    xs and velocities vs, concatenated."""
-    return np.concatenate([fn(LocalGeometry(g, xs[i:i + _BLOCK]), vs[i:i + _BLOCK])
-                           for i in range(0, len(xs), _BLOCK)])
 
 
 @dataclass
@@ -48,8 +37,8 @@ class CongruenceRun:
         frame route), from stacked geometry on blocks of the grid."""
         ts = self.diagnostics.ts if ts is None else ts
         xs, vs = self.geodesic.state(np.asarray(ts, dtype=float))
-        return _blockwise(g, xs, vs,
-                          lambda geom, v: geom.bakry_emery(f, params, v, v))
+        return blockwise(g, xs, lambda geom, v: geom.bakry_emery(f, params, v, v),
+                         vs)
 
 
 def run_point_congruence(g: MetricField, p0, v0, span, f: ScalarField | None = None,
@@ -145,8 +134,9 @@ def mean_curvature_evolution(g: MetricField, f: ScalarField,
     B = diag.B_f[sel] + (diag.fprime[sel] / k)[:, None, None] * np.eye(k)
     # Ric(N, N) + Hess f(N, N) is Ric_f^m(N, N) for m = infinity
     m_inf = BakryEmeryParams(INFINITE_M)
-    ric_hess = _blockwise(g, *run.geodesic.state(t_in),
-                          lambda geom, v: geom.bakry_emery(f, m_inf, v, v))
+    xs, vs = run.geodesic.state(t_in)
+    ric_hess = blockwise(g, xs, lambda geom, v: geom.bakry_emery(f, m_inf, v, v),
+                         vs)
     rhs = -ric_hess - np.sum(B * B, axis=(1, 2))
     residual = np.where(diag.mask[sel], dH - rhs, np.nan)
     return MeanCurvatureReport(ts=t_in, H_f=H_f[sel], residual=residual,

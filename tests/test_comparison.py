@@ -1,18 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentzlab import (INFINITE_M, BakryEmeryParams, SampleSpec,
-                        check_f_generic, check_timelike_convergence,
+                        check_f_generic, check_timelike_convergence, cli,
                         constant_scalar, f_laplacian_distance, parallel_frame,
                         schwarz_equality_residual, schwarz_gap, sinh_squared_f,
                         trace_identity_check)
-from lorentzlab.errors import NoMaximalGeodesic, OutsideUniquenessRegion
-from lorentzlab.manifold import LocalGeometry
+from lorentzlab.comparison import sample_plan
+from lorentzlab.errors import (NoMaximalGeodesic, NonFiniteSample,
+                               OutsideUniquenessRegion)
+from lorentzlab.manifold import LocalGeometry, ScalarField
+from lorentzlab.numerics import spawn_rngs
 from lorentzlab.scenarios import BUILTIN_SCENARIOS, equator_point, linear_time_f
 
 from test_jacobi import SWEEP_GEODESICS, _assert_close_to_loop
+from test_manifold import _chart_points
 
 
 def _spec_for(scen, n_points=7, **kw):
@@ -65,6 +71,140 @@ def test_convergence_constant_weight_independent_of_m(ds4):
                                          BakryEmeryParams(m=m, k=2.2), spec)
         vals.append(rep.min_value)
     assert vals[0] == vals[1] == vals[2]
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid certificates against the per-sample loops they replaced
+# ---------------------------------------------------------------------------
+
+def _orthonormal_basis_loop(g, p):
+    """Frame (e_0 timelike unit, e_1..e_{n-1} spacelike unit) at p."""
+    G = g.at(p)
+    eigval, eigvec = np.linalg.eigh(G)
+    e0 = eigvec[:, 0] / np.sqrt(-float(eigvec[:, 0] @ G @ eigvec[:, 0]))
+    spatial = []
+    for i in range(1, g.dim):
+        w = eigvec[:, i]
+        w = w + float(w @ G @ e0) * e0
+        for e in spatial:
+            w = w - float(w @ G @ e) * e
+        spatial.append(w / np.sqrt(float(w @ G @ w)))
+    return e0, spatial
+
+
+def _sample_plan_loop(g, spec):
+    """[(point, directions)], one point and one direction at a time."""
+    plan = []
+    for p, rng in zip(spec.points, spawn_rngs(spec.seed, len(spec.points))):
+        e0, spatial = _orthonormal_basis_loop(g, p)
+        vs = []
+        for _ in range(spec.n_timelike):
+            chi = rng.uniform(0.0, spec.chi_max)
+            u = rng.normal(size=len(spatial))
+            u /= np.linalg.norm(u)
+            udir = sum(c * e for c, e in zip(u, spatial))
+            vs.append(np.cosh(chi) * e0 + np.sinh(chi) * udir)
+        plan.append((np.asarray(p, dtype=float), vs))
+    return plan
+
+
+def _convergence_loop(g, f, params, plan):
+    """(min, argmin point, argmin vector, count) of Ric_f^m(v, v), one
+    geometry per point and one contraction per sample."""
+    best, arg_p, arg_v, count = np.inf, None, None, 0
+    for p, vs in plan:
+        geom = LocalGeometry(g, p)
+        tensor = geom.ricci + geom.hessian(f)
+        df = f.gradient(p)
+        for v in vs:
+            val = float(v @ tensor @ v)
+            if params.finite:
+                val -= float(df @ v) ** 2 / params.m
+            count += 1
+            if val < best:
+                best, arg_p, arg_v = val, p.copy(), v.copy()
+    return best, arg_p, arg_v, count
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+def _assert_convergence_equals_the_loop(g, f, params, spec):
+    # bit for bit, signed zeros included
+    plan = _sample_plan_loop(g, spec)
+    points, dirs = sample_plan(g, spec)
+    assert _bits(points) == _bits([p for p, _ in plan])
+    assert _bits(dirs) == _bits([vs for _, vs in plan])
+    rep = check_timelike_convergence(g, f, params, spec)
+    best, arg_p, arg_v, count = _convergence_loop(g, f, params, plan)
+    assert _bits(rep.min_value) == _bits(best)
+    assert _bits(rep.argmin_point) == _bits(arg_p)
+    assert _bits(rep.argmin_vector) == _bits(arg_v)
+    assert rep.n_samples == count == spec.points.shape[0] * spec.n_timelike
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+@pytest.mark.parametrize("fd_only", [False, True], ids=["callbacks", "fd_only"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_whole_grid_convergence_equals_the_sample_loop(name, fd_only, seed):
+    scen = BUILTIN_SCENARIOS[name]()
+    g, f = scen.metric, scen.weight
+    if fd_only:
+        g = dataclasses.replace(g, d_matrix=None, dd_matrix=None)
+        f = dataclasses.replace(f, grad=None, hess=None)
+    pts = _chart_points(scen, np.random.default_rng(seed), 11)
+    spec = SampleSpec(points=pts, n_timelike=16, seed=seed, chi_max=1.0)
+    _assert_convergence_equals_the_loop(g, f, scen.params, spec)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_cli_convergence_spec_equals_the_sample_loop(name):
+    # the CLI's 9 points along the first timelike geodesic, chi_max 3.0
+    scen = BUILTIN_SCENARIOS[name]()
+    spec = SampleSpec(points=cli._sample_points(scen))
+    assert spec.points.shape[0] == 9 and spec.chi_max == 3.0
+    _assert_convergence_equals_the_loop(scen.metric, scen.weight, scen.params,
+                                        spec)
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+@pytest.mark.parametrize("name", ["minkowski4", "de_sitter4"])
+def test_finite_m_convergence_equals_the_sample_loop(name, m):
+    scen = BUILTIN_SCENARIOS[name]()
+    # at seed 1878 on de Sitter with m = 2 the argmin's df(v)^2 as float ** 2
+    # (C pow) and as df(v) * df(v) differ in the last bit
+    for seed in (99, 7, 123, 1878):
+        spec = SampleSpec(points=_chart_points(scen, np.random.default_rng(seed), 9),
+                          n_timelike=16, seed=seed, chi_max=3.0)
+        _assert_convergence_equals_the_loop(scen.metric, linear_time_f(1.3),
+                                            BakryEmeryParams(m=m), spec)
+
+
+def _nan_hessian_for_late_times(p):
+    return np.full((4, 4), np.nan) if p[0] > 0.5 else np.zeros((4, 4))
+
+
+def test_convergence_names_the_first_non_finite_sample(mink4):
+    # one of two points has a NaN Hessian: its 4 samples were skipped, but
+    # counted, where now the certificate refuses them
+    f = ScalarField(value=lambda p: 0.0, grad=lambda p: np.zeros(4),
+                    hess=_nan_hessian_for_late_times, name="nan_late")
+    spec = SampleSpec(points=[[0.0, 0, 0, 0], [1.0, 0, 0, 0]], n_timelike=4)
+    with pytest.raises(NonFiniteSample,
+                       match=r"at point \[1\. 0\. 0\. 0\.\] in direction \["):
+        check_timelike_convergence(mink4.metric, f, mink4.params, spec)
+    # every sample NaN: the same error, not a failed argmin re-evaluation
+    spec = SampleSpec(points=[[1.0, 0, 0, 0], [2.0, 0, 0, 0]], n_timelike=4)
+    with pytest.raises(NonFiniteSample, match=r"at point \[1\. 0\. 0\. 0\.\]"):
+        check_timelike_convergence(mink4.metric, f, mink4.params, spec)
+
+
+@pytest.mark.parametrize("points", [np.zeros((0, 4)), []], ids=["0x4", "empty"])
+def test_sample_spec_rejects_an_empty_grid(points):
+    with pytest.raises(ValueError, match="at least one sample point"):
+        SampleSpec(points=points)
 
 
 def test_f_generic_reports(mink4, ds4):

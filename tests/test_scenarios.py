@@ -7,8 +7,11 @@ from lorentzlab import (certify_weighted_de_sitter, christoffel, de_sitter,
                         hessian_scalar, riemann, scenario_from_config,
                         sinh_squared_f, warped_product)
 from lorentzlab.comparison import SampleSpec
-from lorentzlab.manifold import INFINITE_M, MetricField
+from lorentzlab.errors import NonFiniteSample
+from lorentzlab.manifold import INFINITE_M, LocalGeometry, MetricField
 from lorentzlab.scenarios import BUILTIN_SCENARIOS, equator_point
+
+from test_comparison import _sample_plan_loop
 
 
 def test_all_builtin_manifests_validate():
@@ -152,6 +155,74 @@ def test_certification_stable_under_denser_sampling():
     dense = SampleSpec(points=pts, n_timelike=160, seed=4242, chi_max=1.0)
     rerun = certify_weighted_de_sitter(4, K_grid=[1.0, 1.5, 2.0], spec=dense)
     assert base.K_star == rerun.K_star == 1.5
+
+
+def _certify_loop(n=4, K_grid=None, threshold=-1e-9):
+    """certify_weighted_de_sitter's (results, K_star, findings) on its
+    default samples, one geometry per point and one contraction per sample."""
+    g = de_sitter(n).metric
+    K_grid = np.arange(0.5, 6.01, 0.5) if K_grid is None else K_grid
+    pts = np.array([equator_point(n, t) for t in np.arange(-3.0, 3.0001, 0.1)])
+    plan = _sample_plan_loop(g, SampleSpec(points=pts, n_timelike=16,
+                                           seed=20240, chi_max=1.0))
+    geoms = [LocalGeometry(g, p) for p, _ in plan]
+    e_t = np.eye(n)[0]
+    results, findings = [], []
+    for K in np.asarray(K_grid, dtype=float):
+        f = sinh_squared_f(K)
+        best = ineq1_min = ineq2_min = np.inf
+        ineq2_viol = 0
+        for (p, dirs), geom in zip(plan, geoms):
+            tensor = geom.ricci + geom.hessian(f)
+            t = p[0]
+            rhs1 = 2.0 * K ** 2 - (n - 1.0)
+            rhs2 = (4.0 * K ** 2 * math.cosh(K * t) ** 2 - 2.0 * K ** 2
+                    - K * math.cosh(K * t) ** 2)
+            ineq1_min = min(ineq1_min, float(e_t @ tensor @ e_t) - rhs1)
+            for v in dirs:
+                val = float(v @ tensor @ v)
+                best = min(best, val)
+                ineq2_min = min(ineq2_min, val - rhs2)
+                ineq2_viol += val - rhs2 < -1e-9
+        results.append({"K": float(K), "passed": bool(best >= threshold),
+                        "min_value": float(best),
+                        "ineq1_min_slack": float(ineq1_min),
+                        "ineq2_min_slack": float(ineq2_min),
+                        "ineq2_violations": int(ineq2_viol)})
+        if ineq2_viol:
+            findings.append(
+                f"K={K:g}: all-direction display bound violated at "
+                f"{ineq2_viol} samples (min slack {ineq2_min:.3e})")
+        if ineq1_min < -1e-9:
+            findings.append(f"K={K:g}: time-direction bound violated "
+                            f"(min slack {ineq1_min:.3e})")
+    passing = [row["K"] for row in results if row["passed"]]
+    seen_pass = False
+    for row in results:
+        seen_pass = seen_pass or row["passed"]
+        if seen_pass and not row["passed"]:
+            findings.append(f"monotonicity violated at K={row['K']:g}")
+    return results, min(passing) if passing else None, findings
+
+
+@pytest.mark.parametrize("K_grid", [None, [0.1], np.round(np.arange(0.1, 6.0001, 0.1), 10),
+                                    []],
+                         ids=["default", "0.1", "0.1_to_6.0", "empty"])
+def test_whole_grid_certification_equals_the_sample_loop(K_grid):
+    cert = certify_weighted_de_sitter(4, K_grid=K_grid)
+    results, K_star, findings = _certify_loop(4, K_grid)
+    assert cert.results == results
+    assert cert.K_star == K_star
+    assert cert.findings == findings
+
+
+def test_certification_names_the_first_non_finite_sample():
+    # at K = 30 the weight's Hessian overflows at t = 11.8, where the metric
+    # is still regular
+    spec = SampleSpec(points=[equator_point(4, 0.0), equator_point(4, 11.8)],
+                      n_timelike=4, seed=1, chi_max=1.0)
+    with pytest.raises(NonFiniteSample, match=r"at point \[11\.8 "):
+        certify_weighted_de_sitter(4, K_grid=[30.0], spec=spec)
 
 
 def test_scenario_from_config():
