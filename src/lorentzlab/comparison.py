@@ -255,7 +255,7 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
         try:
             geo, J = geodesic_variation(g, apex, v, (0.0, rho), rtol=rtol,
                                         atol=atol)
-        except (LorentzLabError, np.linalg.LinAlgError):
+        except LorentzLabError:
             return None
         if geo.exited_domain:
             return None

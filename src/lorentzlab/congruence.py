@@ -16,8 +16,7 @@ import numpy as np
 
 from . import manifold
 from .errors import FrameDegeneracy, IntegratorFailure
-from .manifold import (LocalGeometry, MetricField, ScalarField, christoffel,
-                       christoffel_unchecked)
+from .manifold import LocalGeometry, MetricField, ScalarField, christoffel
 from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, DenseOutput,
                        ode_solve)
 
@@ -65,13 +64,13 @@ class GeodesicTrajectory:
 
 def _transport_rhs(g: MetricField):
     """y = [x, v, w_1, ...] moves by x' = v, v' = -Gamma(v, v) and
-    w_i' = -Gamma(v, w_i), all from one Christoffel evaluation; a bare
-    geodesic carries no rows w_i."""
+    w_i' = -Gamma(v, w_i), all from one stage geometry; a bare geodesic
+    carries no rows w_i."""
     n = g.dim
 
     def rhs(t, y):
         x, moving = y[:n], y[n:].reshape(-1, n)
-        gamma = christoffel_unchecked(g, x)
+        gamma = LocalGeometry.stage(g, x).gamma
         dmoving = -np.einsum("abc,b,ic->ia", gamma, moving[0], moving)
         return np.concatenate([moving[0], dmoving.ravel()])
     return rhs
@@ -145,7 +144,7 @@ def _variation_rhs(g: MetricField):
     def rhs(t, y):
         x, v = y[:n], y[n: 2 * n]
         dx, dv = y[2 * n:].reshape(2, n, n)
-        geom = LocalGeometry(g, x)
+        geom = LocalGeometry.stage(g, x)
         ddv = -(np.einsum("eabc,b,c,ie->ia", geom.dgamma, v, v, dx)
                 + 2.0 * np.einsum("abc,b,ic->ia", geom.gamma, v, dv))
         return np.concatenate([v, -np.einsum("abc,b,c->a", geom.gamma, v, v),
@@ -155,8 +154,9 @@ def _variation_rhs(g: MetricField):
 
 def geodesic_variation(g: MetricField, p0, v0, span, rtol, atol):
     """(traj, J): the geodesic from (p0, v0) over span, as integrate_geodesic
-    solves it with normalize=False, and J[a, i] = d c^a(t1) / d v0^i at the
-    end t1 it reached.
+    solves it with normalize=False (at a domain exit, the partial trajectory
+    with exited_domain set), and J[a, i] = d c^a(t1) / d v0^i at the end t1
+    it reached.
 
     J is the coordinate Jacobi tensor with J(0) = 0 and J'(0) = I
     (Eschenburg & O'Sullivan, Math. Ann. 252, 1980), solved with the
@@ -247,10 +247,12 @@ class FrameField:
         identity closes in both cases.  R(t) is self-adjoint; along null
         geodesics it is well defined on quotient representatives because
         R(beta', beta') = 0.  One parameter gives a (k, k) matrix, an array
-        of them an (N, k, k) stack from one stacked LocalGeometry.
+        of them an (N, k, k) stack, from one LocalGeometry.stage: the Jacobi
+        solver reads R(t) at its stages, and the solved geodesic's grid was
+        validated by its norm check.
         """
         x, v, E = self.state(t)
-        geom = LocalGeometry(self.geodesic.metric, x)
+        geom = LocalGeometry.stage(self.geodesic.metric, x)
         R = geom.curvature_matrix(v, E, E)
         if f is None:
             return R
@@ -401,6 +403,6 @@ def quotient_invariance_residual(frame: FrameField, t) -> float:
     if frame.geodesic.character != NULL:
         raise ValueError("quotient invariance only applies to null geodesics")
     x, v, E = frame.state(t)
-    shifted = LocalGeometry(frame.geodesic.metric, x).curvature_matrix(
-        v, E + _QUOTIENT_SHIFT * v[None, :], E)
-    return float(np.max(np.abs(shifted - frame.curvature(t))))
+    geom = LocalGeometry.stage(frame.geodesic.metric, x)
+    shifted = geom.curvature_matrix(v, E + _QUOTIENT_SHIFT * v[None, :], E)
+    return float(np.max(np.abs(shifted - geom.curvature_matrix(v, E, E))))

@@ -19,16 +19,20 @@ central finite differences: step h*max(1,|x_c|) for first derivatives and the
 widened step sqrt(h)*max(1,|x_c|) for second derivatives, which balances
 truncation against roundoff in double precision.
 
-Validation: one routine checks a metric matrix, or a stack of them, to be
-finite, symmetric to 1e-12 relative and of signature (-,+,...,+) with no
-eigenvalue within 1e-12 of zero, and raises SingularMetric otherwise.  Each
-point is checked once: LocalGeometry validates G on construction and takes
-the conditioning test of G^{-1} (min |eigenvalue| >= 1e-12 max |eigenvalue|)
-from the same eigenvalues.  It is the one source of Gamma, Riem, Ric and
-Hess f; christoffel, riemann, ricci, hessian_scalar and bakry_emery_ricci
-are views of it.  It also takes an (N, n) stack of points: callbacks are
-still called once per row, and every contraction carries a leading row
-axis, so each row comes out bit for bit as its point alone would.
+Validation: metrics are validated at pointwise entry and on solved grids.
+One routine checks a metric matrix, or a stack of them, to be finite,
+symmetric to 1e-12 relative and of signature (-,+,...,+) with no eigenvalue
+within 1e-12 of zero, and raises SingularMetric otherwise.  It runs once per
+point in MetricField.at and in LocalGeometry(metric, p), which takes the
+conditioning test of G^{-1} (min |eigenvalue| >= 1e-12 max |eigenvalue|)
+from the same eigenvalues, so in christoffel, riemann, ricci,
+hessian_scalar, bakry_emery_ricci and blockwise too; the geodesic norm check
+runs it on each solved grid.  ODE stages use LocalGeometry.stage, which only
+raises SingularMetric for a metric that is not finite or is singular.
+LocalGeometry is the one source of G^{-1}, Gamma, Riem, Ric and Hess f.  It
+also takes an (N, n) stack of points: callbacks are still called once per
+row, and every contraction carries a leading row axis, so each row comes out
+bit for bit as its point alone would.
 """
 
 from __future__ import annotations
@@ -249,15 +253,11 @@ def _lorentzian(g, points):
     every matrix is finite, symmetric and Lorentzian as the module docstring
     states.
     """
-    scale = np.abs(g).max(axis=(-2, -1))
-    ok = scale < np.inf
-    if not ok.all():
-        raise SingularMetric(f"metric not finite at {_first(points, ok)}")
-    gt = np.swapaxes(g, -1, -2)
-    ok = np.abs(g - gt).max(axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, scale)
+    sym, scale = _symmetrized(g, points)
+    ok = (np.abs(g - np.swapaxes(g, -1, -2)).max(axis=(-2, -1))
+          <= 1e-12 * np.maximum(1.0, scale))
     if not ok.all():
         raise SingularMetric(f"metric not symmetric at {_first(points, ok)}")
-    sym = 0.5 * (g + gt)
     eig = np.linalg.eigvalsh(sym)
     # ascending eigenvalues: exactly one below zero, none within 1e-12 of it
     ok = (eig[..., 0] < -1e-12) & (eig[..., 1] > 1e-12)
@@ -265,6 +265,18 @@ def _lorentzian(g, points):
         raise SingularMetric(f"metric at {_first(points, ok)} does not have "
                              "Lorentzian signature (-,+,...,+)")
     return sym, eig
+
+
+def _symmetrized(g, points):
+    """The symmetric parts of the metric matrices g[..., n, n] and their
+    largest |entries|.  Raises SingularMetric, naming the first offending
+    row of points, where a matrix is not finite: checked first, since the
+    arithmetic would warn on inf."""
+    scale = np.abs(g).max(axis=(-2, -1))
+    ok = scale < np.inf
+    if not ok.all():
+        raise SingularMetric(f"metric not finite at {_first(points, ok)}")
+    return 0.5 * (g + np.swapaxes(g, -1, -2)), scale
 
 
 def _first(points, ok):
@@ -282,7 +294,8 @@ def _dot(v, w, M=None):
 
 class LocalGeometry:
     """The geometry of a metric at one chart point, or at each row of an
-    (N, n) stack of points, validated once.
+    (N, n) stack of points, validated once; stage builds the same geometry
+    for ODE stages without validating it.
 
     G, G_inv, dG[c, a, b] = d_c g_ab and gamma[a, b, c] = Gamma^a_{bc} are
     built on construction; dgamma[e, a, b, c] = d_e Gamma^a_{bc}, riemann and
@@ -296,15 +309,38 @@ class LocalGeometry:
     """
 
     def __init__(self, metric: MetricField, p):
-        self.metric = metric
-        self.p, self.G, eig = metric._checked(p)
+        p, G, eig = metric._checked(p)
         mag = np.abs(eig)  # for symmetric G, the singular values
         ok = mag.min(axis=-1) >= 1e-12 * mag.max(axis=-1)
         if not ok.all():
             raise SingularMetric(
-                f"metric numerically singular at {_first(self.p, ok)}")
-        self.G_inv = np.linalg.inv(self.G)
-        self.dG = metric.first_derivatives(self.p)
+                f"metric numerically singular at {_first(p, ok)}")
+        self._build(metric, p, G)
+
+    @classmethod
+    def stage(cls, metric: MetricField, p) -> "LocalGeometry":
+        """The geometry at p, one point or a stack, for an ODE stage: each
+        row bit for bit as LocalGeometry(metric, p), without the chart,
+        symmetry and signature checks.  Adaptive integrators localize
+        boundary events by probing marginally past the declared domain, and
+        those transient evaluations must not raise; the norm check validates
+        the solved grid.  A metric that is not finite, or that LAPACK finds
+        singular, still raises SingularMetric naming the first such row.
+        """
+        p = np.asarray(p, dtype=float)
+        geom = cls.__new__(cls)
+        geom._build(metric, p, _symmetrized(_rows(metric.matrix, p), p)[0])
+        return geom
+
+    def _build(self, metric, p, G):
+        self.metric, self.p, self.G = metric, p, G
+        try:
+            self.G_inv = np.linalg.inv(G)
+        except np.linalg.LinAlgError:
+            # an exactly zero LU pivot makes the determinant exactly zero
+            ok = np.linalg.det(G) != 0.0
+            raise SingularMetric(f"metric singular at {_first(p, ok)}") from None
+        self.dG = metric.first_derivatives(p)
         self.gamma = _christoffel_core(self.G_inv, _bracket(self.dG))
 
     @cached_property
@@ -376,18 +412,6 @@ def blockwise(metric: MetricField, points, fn, *rows):
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Levi-Civita symbols Gamma[a, b, c] = Gamma^a_{bc}."""
     return LocalGeometry(g, p).gamma
-
-
-def christoffel_unchecked(g: MetricField, p) -> np.ndarray:
-    """Christoffel symbols without domain/signature validation.
-
-    Adaptive integrators localize boundary events by probing marginally past
-    the declared domain; those transient evaluations must not raise.
-    """
-    p = np.asarray(p, dtype=float)
-    m = np.asarray(g.matrix(p), dtype=float)
-    return _christoffel_core(np.linalg.inv(0.5 * (m + m.T)),
-                             _bracket(g.first_derivatives(p)))
 
 
 def riemann(g: MetricField, p) -> np.ndarray:

@@ -6,8 +6,11 @@ import pytest
 from lorentzlab import (BakryEmeryParams, INFINITE_M, constant_scalar,
                         integrate_geodesic, integrate_jacobi, parallel_frame,
                         run_point_congruence, sinh_squared_f)
-from lorentzlab.congruence import geodesic_residual, quotient_invariance_residual
-from lorentzlab.errors import DomainViolation, IntegratorFailure, ZeroVector
+from lorentzlab.congruence import (geodesic_residual, geodesic_variation,
+                                   quotient_invariance_residual)
+from lorentzlab.errors import (DomainViolation, IntegratorFailure,
+                               SingularMetric, ZeroVector)
+from lorentzlab.manifold import MetricField
 from lorentzlab.scenarios import linear_time_f
 
 from test_jacobi import SWEEP_GEODESICS, _assert_close_to_loop
@@ -440,6 +443,20 @@ def test_frame_solve_stops_at_a_domain_exit(quartic_2d):
     assert frame.reorth_events == []
 
 
+def test_variation_solve_stops_at_a_domain_exit(quartic_2d):
+    # the geodesic of test_domain_exit_returns_partial_trajectory, solved
+    # with its variation: the partial trajectory, as the bare solve gives it
+    p0, v0 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    geo, J = geodesic_variation(quartic_2d, p0, v0, (0.0, 5.0), 1e-9, 1e-11)
+    bare = integrate_geodesic(quartic_2d, p0, v0, (0.0, 5.0), normalize=False)
+    assert geo.exited_domain
+    assert geo.t1 == pytest.approx(bare.t1, abs=1e-9)
+    assert geo.point(geo.t1)[0] == pytest.approx(0.05, abs=1e-6)
+    # along x = 1 - t the time row of J is d c^t / d v0^t = t
+    assert J.shape == (2, 2) and np.isfinite(J).all()
+    assert J[0] == pytest.approx([geo.t1, 0.0], abs=1e-8)
+
+
 @pytest.mark.parametrize("solve, rtol", [(integrate_geodesic, 2e-9),
                                          (integrate_geodesic, 1e-8),
                                          (parallel_frame, 1e-4),
@@ -458,3 +475,55 @@ def test_norm_drift_beyond_the_bound_raises(ds4):
     with pytest.raises(IntegratorFailure):  # drift 3.7e-4 against 1e-8
         integrate_geodesic(ds4.metric, spec.p0, spec.v0, spec.span,
                            rtol=1e-9, atol=1e-4)
+
+
+@pytest.mark.parametrize("fd_only", [False, True], ids=["callbacks", "fd_only"])
+@pytest.mark.parametrize("g11", [0.0, math.nan, math.inf],
+                         ids=["singular", "nan", "inf"])
+def test_every_solve_raises_singular_metric_where_the_metric_is_lost(g11,
+                                                                      fd_only):
+    # diag(-1, 1, 1, 1) up to t = 1, then g_11 exactly zero, NaN or infinite:
+    # the stage that meets it stops the solve with the typed error
+    def matrix(p):
+        G = np.diag([-1.0, 1.0, 1.0, 1.0])
+        if p[0] > 1.0:
+            G[1, 1] = g11
+        return G
+    g = MetricField(dim=4, matrix=matrix) if fd_only else MetricField(
+        dim=4, matrix=matrix, d_matrix=lambda p: np.zeros((4, 4, 4)),
+        dd_matrix=lambda p: np.zeros((4, 4, 4, 4)))
+    p0, v0, span = np.zeros(4), np.array([1.0, 0.3, 0.2, 0.0]), (0.0, 2.0)
+    for solve in (integrate_geodesic, parallel_frame):
+        with pytest.raises(SingularMetric):
+            solve(g, p0, v0, span)
+    with pytest.raises(SingularMetric):
+        geodesic_variation(g, p0, v0, span, 1e-9, 1e-11)
+    assert integrate_geodesic(g, p0, v0, (0.0, 0.9)).stats["norm_drift"] < 1e-15
+
+
+def test_solver_stages_validate_nothing(ds4w, monkeypatch):
+    # pointwise entries and solved grids validate; stages do not, so the
+    # number of validations does not follow the number of stages
+    real, checks = MetricField._checked, []
+
+    def counted(self, p):
+        checks.append(np.shape(p))
+        return real(self, p)
+    monkeypatch.setattr(MetricField, "_checked", counted)
+    spec = ds4w.geodesic("comoving")
+    v0 = np.array([1.1, 0.1, -0.05, 0.2])
+    counts, nfevs = [], []
+    for rtol in (1e-6, 1e-10):
+        checks.clear()
+        frame = parallel_frame(ds4w.metric, spec.p0, spec.v0, spec.span,
+                               rtol=rtol, atol=1e-2 * rtol)
+        jac = integrate_jacobi(frame.curvature, np.zeros((3, 3)), np.eye(3),
+                               spec.span, rtol=rtol, atol=1e-2 * rtol)
+        geo, _ = geodesic_variation(ds4w.metric, spec.p0, v0, (0.0, 1.5),
+                                    rtol, 1e-2 * rtol)
+        assert frame.reorth_events == []
+        counts.append(len(checks))
+        nfevs.append((frame.geodesic.stats["nfev"], jac._sol.nfev,
+                      geo.stats["nfev"]))
+    assert all(a < b for a, b in zip(*nfevs)), nfevs
+    assert counts[0] == counts[1]

@@ -214,6 +214,7 @@ BAD_METRICS = {
     "non_symmetric": np.array([[-1.0, 0.1], [0.3, 1.0]]),
     "two_negative": np.diag([-1.0, -2.0]),
     "tiny_eigenvalue": np.diag([-1.0, 1e-13]),
+    "singular": np.diag([-1.0, 0.0]),
 }
 ETA2 = np.diag([-1.0, 1.0])
 
@@ -252,15 +253,21 @@ def test_every_pointwise_entry_rejects_bad_metrics(kind):
 
 
 @pytest.mark.parametrize("kind", ["non_symmetric", "two_negative",
-                                  "tiny_eigenvalue"])
+                                  "tiny_eigenvalue", "singular", "nan", "inf"])
 def test_geodesic_norm_check_catches_signature_lost_partway(kind):
     # Lorentzian at the start, so only the batched check along the
-    # trajectory can see the metric change
-    from lorentzlab import integrate_geodesic
+    # trajectory can see a lost symmetry or signature; a metric that is
+    # exactly singular or not finite stops the solve at the stage that
+    # meets it.  Every solve raises the typed error.
+    from lorentzlab import integrate_geodesic, parallel_frame
+    from lorentzlab.congruence import geodesic_variation
     bad = BAD_METRICS[kind]
     g = _flat_derivatives(lambda p: bad if p[0] > 1.0 else ETA2)
+    for solve in (integrate_geodesic, parallel_frame):
+        with pytest.raises(SingularMetric):
+            solve(g, np.zeros(2), [1.0, 0.0], (0.0, 2.0))
     with pytest.raises(SingularMetric):
-        integrate_geodesic(g, np.zeros(2), [1.0, 0.0], (0.0, 2.0))
+        geodesic_variation(g, np.zeros(2), [1.0, 0.0], (0.0, 2.0), 1e-9, 1e-11)
     fine = integrate_geodesic(g, np.zeros(2), [1.0, 0.0], (0.0, 0.9))
     assert fine.stats["norm_drift"] == 0.0
 
@@ -315,6 +322,14 @@ def test_stacked_geometry_equals_the_pointwise_loop(name, fd_only):
     vs = rng.normal(size=pts.shape)
     stacked = LocalGeometry(g, pts)
     loop = [LocalGeometry(g, p) for p in pts]
+    # stage geometry, stacked and per point, is the validated one exactly
+    # (bytes, so signed zeros count)
+    for geoms in ([stacked], [LocalGeometry.stage(g, pts)],
+                  [LocalGeometry.stage(g, p) for p in pts]):
+        for name in ("G", "G_inv", "gamma", "dgamma", "riemann"):
+            want = np.array([getattr(geom, name) for geom in loop])
+            got = np.array([getattr(geom, name) for geom in geoms])
+            assert got.reshape(want.shape).tobytes() == want.tobytes(), name
     assert np.array_equal(stacked.riemann, [geom.riemann for geom in loop])
     assert np.array_equal(stacked.ricci, [geom.ricci for geom in loop])
     assert np.array_equal(stacked.hessian(f), [geom.hessian(f) for geom in loop])
@@ -333,6 +348,25 @@ def test_stacked_geometry_names_the_first_bad_row(kind):
     with pytest.raises(SingularMetric, match=r"at \[ *0\. +39\. *\]"):
         LocalGeometry(g, stack)
     assert LocalGeometry(g, stack[:39]).G_inv.shape == (39, 2, 2)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_METRICS))
+def test_stage_geometry_stops_only_where_a_solve_cannot_go_on(kind):
+    # a stage skips the chart, symmetry and signature checks; a metric that
+    # is not finite or exactly singular raises, naming the first bad row
+    bad = BAD_METRICS[kind]
+    g = MetricField(dim=2, domain=((0.0, 1.0), (0.0, 1.0)),
+                    matrix=lambda p: bad if p[1] in (39.0, 45.0) else ETA2,
+                    d_matrix=lambda p: np.zeros((2, 2, 2)))
+    stack = np.column_stack([np.zeros(50), np.arange(50.0)])
+    if kind.startswith(("nan", "inf", "singular")):
+        with pytest.raises(SingularMetric, match=r"at \[ *0\. +39\. *\]"):
+            LocalGeometry.stage(g, stack)
+        with pytest.raises(SingularMetric):
+            LocalGeometry.stage(g, stack[39])
+    else:
+        assert LocalGeometry.stage(g, stack).gamma.shape == (50, 2, 2, 2)
+    assert LocalGeometry.stage(g, stack[:39]).G_inv.shape == (39, 2, 2)
 
 
 def test_dgamma_matches_central_differences_of_christoffel(ds4w):
