@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import FrameField, geodesic_variation, parallel_frame
+from .congruence import FrameField, geodesic_variation
 from .errors import (LorentzLabError, NoMaximalGeodesic, NonFiniteSample,
                      OutsideUniquenessRegion)
-from .jacobi import integrate_jacobi
 from .manifold import (BakryEmeryParams, LocalGeometry, MetricField,
                        ScalarField, _dot, bakry_emery_ricci, blockwise)
-from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, adaptive_simpson, spawn_rngs
+from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, adaptive_simpson,
+                       spawn_rngs)
 
 
 @dataclass
@@ -202,28 +202,31 @@ class LaplacianReport:
     bound_infinite: float
     slack_finite: float | None
     slack_infinite: float
+    newton_steps: int            # Newton steps shooting took
+    miss: float                  # max |c(rho) - q| of the accepted shot
 
 
 # Newton shooting: most steps, the step (relative to max(1, |x|)) that ends
-# it, and how often a step whose solve fails or does not shrink the residual
-# is halved
+# it, how often a failing or non-shrinking step is halved, and the factor on
+# f_laplacian_distance's rtol and atol, whose Laplacian is the last shot's
 _NEWTON_ITERS = 20
 _NEWTON_XTOL = 1e-12
 _STEP_HALVINGS = 8
+_SHOT_TOL_FACTOR = 0.03
 
 
 def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
-    """(v, rho): the past-directed unit timelike geodesic from apex with
-    velocity v reaches q at arc length rho.
+    """(v, rho, geo, steps): the past-directed unit timelike geodesic from
+    apex with velocity v reaches q at arc length rho, in the accepted shot's
+    geodesic_variation solve geo, after steps Newton steps.
 
     Unknowns are the spatial velocity components w and rho; the time
     component is fixed by unit normalization with the past root.  Newton's
     method takes the exact Jacobian of the residual c(rho) - q: the end-point
     derivative of geodesic_variation through dv/dw, and c'(rho).  A trial step
     whose solve fails, leaves the chart or does not shrink max|c(rho) - q| is
-    halved, _STEP_HALVINGS times at most.  A root whose residual, solved at
-    the caller's tolerances, misses q by more than 1e-8 (relative) is
-    spurious.
+    halved, _STEP_HALVINGS times at most.  A root whose own shot, solved at
+    rtol and atol, misses q by more than 1e-8 (relative) is spurious.
     """
     n = g.dim
     apex = np.asarray(apex, dtype=float)
@@ -246,8 +249,8 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
         return v
 
     def shoot(x):
-        """(residual, its Jacobian) at x = (w, rho); None where the shot
-        fails or leaves the chart."""
+        """(residual, its Jacobian, the solve) at x = (w, rho); None where the
+        shot fails or leaves the chart."""
         w, rho = x[:-1], x[-1]
         v = assemble_velocity(w)
         if v is None or rho <= 0.0:
@@ -262,7 +265,7 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
         x_end, v_end = geo.state(rho)
         Gv = G @ v  # g(v, dv) = 0 gives dv^0/dw
         dv_dw = np.vstack([-Gv[1:] / Gv[0], np.eye(n - 1)])
-        return x_end - q, np.column_stack([J @ dv_dw, v_end])
+        return x_end - q, np.column_stack([J @ dv_dw, v_end]), geo
 
     dp = q - apex
     rho_guess = max(np.sqrt(max(-float(dp @ G @ dp), 1e-4)), 1e-2)
@@ -271,7 +274,7 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
     if shot is None:
         raise NoMaximalGeodesic(f"shooting from {apex} to {q} failed at the "
                                 "initial guess")
-    for _ in range(_NEWTON_ITERS):
+    for steps in range(_NEWTON_ITERS):
         try:
             step = -np.linalg.solve(shot[1], shot[0])
         except np.linalg.LinAlgError:
@@ -296,35 +299,32 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
                                 f"in {_NEWTON_ITERS} Newton steps")
     if np.max(np.abs(shot[0])) > 1e-8 * max(1.0, np.max(np.abs(q))):
         raise NoMaximalGeodesic("shooting converged to a spurious root")
-    return assemble_velocity(x[:-1]), float(x[-1])
+    return assemble_velocity(x[:-1]), float(x[-1]), shot[2], steps
 
 
 def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
                          uniqueness=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> LaplacianReport:
     """Delta_f of the distance-to-apex function at q, with comparison bounds.
 
-    Delta d_r(q) = -theta(rho) for the from-the-apex Lagrange congruence
-    (A(0) = 0, A'(0) = E along the past-directed maximal geodesic), and
-    Delta_f d_r = Delta d_r - <grad f, grad d_r> with grad d_r = -sigma'.
-    Returns the finite-m bound -(n+m-1)/rho (when m is given) and the
-    weight-dependent infinite-m bound for comparison.
+    All is read from Newton's accepted shot, solved at rtol and atol times
+    _SHOT_TOL_FACTOR (rtol >= RTOL_FLOOR).  Its coordinate Jacobi tensor J
+    (J(0) = 0, J'(0) = I) maps g(u, v) = 0 onto (c')^perp and v to rho c', so
+    with DJ/dt = J' + Gamma(c', J), tr(DJ/dt J^-1) = theta + 1/rho and
+    Delta d_r(q) = -theta; as grad d_r = -c', Delta_f d_r = Delta d_r +
+    (f o c)'(rho).  Returns the finite-m bound -(n+m-1)/rho (when m is
+    given) and the infinite-m bound, whose integral of f reads the same solve.
     """
     if uniqueness is not None and not uniqueness(apex, q):
         raise OutsideUniquenessRegion(f"pair ({apex}, {q}) not declared unique")
     n = g.dim
-    v, rho = _shoot_to_target(g, apex, q, rtol, atol)
-    frame = parallel_frame(g, apex, v, (0.0, rho), rtol=rtol, atol=atol)
-    geo = frame.geodesic
-    traj = integrate_jacobi(frame.curvature,
-                            np.zeros((n - 1, n - 1)), np.eye(n - 1),
-                            (0.0, rho), rtol=rtol, atol=atol)
-    A = traj.A(rho)
-    theta = float(np.trace(traj.Aprime(rho) @ np.linalg.inv(A)))
-    lap = -theta
-    x_end, v_end = geo.state(rho)
-    fprime_end = float(f.gradient(x_end) @ v_end)
-    value = lap + fprime_end
-
+    tols = max(rtol * _SHOT_TOL_FACTOR, RTOL_FLOOR), atol * _SHOT_TOL_FACTOR
+    _, rho, geo, steps = _shoot_to_target(g, apex, q, *tols)
+    rows = geo.rows(rho)  # [c, c', J^T, J'^T]
+    x_end, v_end, J_t = rows[0], rows[1], rows[2: 2 + n]
+    gamma = LocalGeometry(g, x_end).gamma
+    DJ_t = rows[2 + n:] + np.einsum("abc,b,ic->ia", gamma, v_end, J_t)
+    lap = 1.0 / rho - float(np.trace(np.linalg.solve(J_t, DJ_t)))
+    value = lap + float(f.gradient(x_end) @ v_end)
     bound_fin = None if m is None else -(n + float(m) - 1.0) / rho
     fq = f.at(q)
     integral = adaptive_simpson(lambda s: np.array(f.at(geo.point(s))),
@@ -332,7 +332,7 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     bound_inf = -(n - 1.0) / rho + 2.0 * fq / rho - 2.0 * float(integral) / rho ** 2
     return LaplacianReport(
         value=value, laplacian=lap, rho=rho,
-        bound_finite_m=bound_fin,
-        bound_infinite=bound_inf,
+        bound_finite_m=bound_fin, bound_infinite=bound_inf,
         slack_finite=None if bound_fin is None else value - bound_fin,
-        slack_infinite=value - bound_inf)
+        slack_infinite=value - bound_inf,
+        newton_steps=steps, miss=float(np.max(np.abs(x_end - q))))

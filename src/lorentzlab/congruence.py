@@ -43,6 +43,11 @@ class GeodesicTrajectory:
     def _evaluate(self, t):  # [c, c', rows...], a column per parameter
         return self._dense(t, "geodesic")
 
+    def rows(self, t):
+        """[c, c', rows...] at t as (m, n) rows; (N, m, n) for N parameters."""
+        y = np.ascontiguousarray(np.moveaxis(self._evaluate(t), 0, -1))
+        return y.reshape(np.shape(t) + (-1, self.metric.dim))
+
     def point(self, t):
         return self._evaluate(t)[: self.metric.dim]
 
@@ -169,7 +174,7 @@ def geodesic_variation(g: MetricField, p0, v0, span, rtol, atol):
                   np.vstack([rows, np.zeros((n, n)), np.eye(n)]), span, rtol,
                   atol, events)
     _check_norm_conservation(traj, rtol)
-    return traj, traj._evaluate(traj.t1).reshape(-1, n)[2: 2 + n].T
+    return traj, traj.rows(traj.t1)[2: 2 + n].T
 
 
 _NORM_SAMPLES = 200  # least size of the norm check's uniform grid
@@ -218,15 +223,9 @@ class FrameField:
     k: int
     reorth_events: list
 
-    def _rows(self, t):
-        """[c, c', stack...] at t as rows: (m, n), or (N, m, n) for N
-        parameters."""
-        y = np.ascontiguousarray(np.moveaxis(self.geodesic._evaluate(t), 0, -1))
-        return y.reshape(np.shape(t) + (-1, self.geodesic.metric.dim))
-
     def state(self, t):
         """(c(t), c'(t), E(t)), E with the k frame vectors as rows."""
-        rows = self._rows(t)
+        rows = self.geodesic.rows(t)
         first = 3 if self.geodesic.character == NULL else 2
         return rows[..., 0, :], rows[..., 1, :], rows[..., first:, :]
 
@@ -236,7 +235,7 @@ class FrameField:
     def null_partner(self, t) -> np.ndarray:
         if self.geodesic.character != NULL:
             raise ValueError("null partner only exists along null geodesics")
-        return self._rows(t)[..., 2, :]
+        return self.geodesic.rows(t)[..., 2, :]
 
     def curvature(self, t, f: ScalarField | None = None) -> np.ndarray:
         """R(t), the matrix M[j, i] = g(R(E_i, c') c', E_j) on the frame, or
@@ -265,7 +264,7 @@ class FrameField:
         """Largest deviation of the stack's inner products at t from
         g(E_i, E_j) = delta_ij, g(E_i, c') = 0 and, for a null partner,
         g(nvec, nvec) = 0, g(nvec, c') = -1."""
-        rows = self._rows(t)
+        rows = self.geodesic.rows(t)
         v, S = rows[..., 1, :], rows[..., 2:, :]
         GS = S @ self.geodesic.metric.at(rows[..., 0, :])
         gram = GS @ S.swapaxes(-1, -2) - np.eye(S.shape[-2])
@@ -279,7 +278,8 @@ class FrameField:
 
     def transport_residual(self, t, delta=1e-4) -> float:
         """|E' + Gamma(c', E)| via central differencing of the dense frame."""
-        before, at, after = self._rows(np.array([t - delta, t, t + delta]))
+        before, at, after = self.geodesic.rows(
+            np.array([t - delta, t, t + delta]))
         E_dot = (after[2:] - before[2:]) / (2.0 * delta)
         gamma = christoffel(self.geodesic.metric, at[0])
         covariant = E_dot + np.einsum("abc,b,ic->ia", gamma, at[1], at[2:])
@@ -384,7 +384,7 @@ def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
             break
         start += 1 + over[0]
         pieces.append((piece._dense, nodes[start]))
-        y0 = _orthonormal_rows(g, character, frame._rows(nodes[start]), k)
+        y0 = _orthonormal_rows(g, character, piece.rows(nodes[start]), k)
         piece = _solve(rhs, g, character, norm, y0, (nodes[start], first.t1),
                        *tols, events=None)
 

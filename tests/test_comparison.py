@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from lorentzlab import (INFINITE_M, BakryEmeryParams, SampleSpec,
                         check_f_generic, check_timelike_convergence, cli,
-                        constant_scalar, f_laplacian_distance, parallel_frame,
+                        comparison, constant_scalar, f_laplacian_distance,
+                        integrate_jacobi, parallel_frame,
                         schwarz_equality_residual, schwarz_gap, sinh_squared_f,
                         trace_identity_check)
 from lorentzlab.comparison import sample_plan
 from lorentzlab.errors import (NoMaximalGeodesic, NonFiniteSample,
                                OutsideUniquenessRegion)
 from lorentzlab.manifold import LocalGeometry, ScalarField
-from lorentzlab.numerics import spawn_rngs
+from lorentzlab.numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR,
+                                 spawn_rngs)
 from lorentzlab.scenarios import BUILTIN_SCENARIOS, equator_point, linear_time_f
 
 from test_jacobi import SWEEP_GEODESICS, _assert_close_to_loop
@@ -357,8 +359,8 @@ def test_f_laplacian_weighted_de_sitter_bound(ds4w):
 
 def test_f_laplacian_accepts_a_root_at_loose_tolerances(ds4w):
     # off the comoving line, where the uniqueness predicate declares nothing;
-    # the shot geodesic, re-solved at tightened tolerances, misses q by 1.2e-7
-    # here, but the root's own residual is below 1e-8
+    # at rtol 1e-6 the Laplacian comes from Newton's accepted shot, whose own
+    # residual is below 1e-8
     apex = equator_point(4, 1.5)
     q = apex + np.array([-1.0, 0.1, 0.0, 0.0])
     loose = f_laplacian_distance(ds4w.metric, ds4w.weight, apex, q, rtol=1e-6)
@@ -367,25 +369,141 @@ def test_f_laplacian_accepts_a_root_at_loose_tolerances(ds4w):
     assert loose.value == pytest.approx(tight.value, abs=1e-5)
 
 
-def test_f_laplacian_solves_the_shot_geodesic_once(ds4w, monkeypatch,
-                                                   ode_solves):
-    from lorentzlab import comparison
-    apex = equator_point(4, 1.5)
-    q = apex.copy()
-    q[0] = 0.3
+def _recorded_shots(monkeypatch):
+    """A list that gains (span, rtol, atol) at every shot comparison
+    solves."""
     shots, variation = [], comparison.geodesic_variation
 
     def counted(*args, **kwargs):
-        shots.append(args[3])
+        shots.append((args[3], kwargs["rtol"], kwargs["atol"]))
         return variation(*args, **kwargs)
     monkeypatch.setattr(comparison, "geodesic_variation", counted)
+    return shots
+
+
+def test_f_laplacian_solves_the_shot_geodesic_once(ds4w, monkeypatch,
+                                                   ode_solves):
+    apex = equator_point(4, 1.5)
+    q = apex.copy()
+    q[0] = 0.3
+    shots = _recorded_shots(monkeypatch)
     f_laplacian_distance(ds4w.metric, ds4w.weight, apex, q,
                          uniqueness=ds4w.uniqueness)
-    # a geodesic-and-variation solve per Newton iterate, then the joint
-    # geodesic-and-frame solve and the Jacobi solve; the comoving guess is
+    # a geodesic-and-variation solve per Newton iterate and nothing after:
+    # the Laplacian is read from the accepted shot; the comoving guess is
     # the root here, so Newton stops at once
-    assert len(ode_solves) == len(shots) + 2
+    assert len(ode_solves) == len(shots)
     assert len(shots) <= 2
+    # every shot at the caller's tolerances tightened by 0.03
+    assert {(rtol, atol) for _, rtol, atol in shots} == {
+        (0.03 * DEFAULT_RTOL, 0.03 * DEFAULT_ATOL)}
+
+
+def test_f_laplacian_at_the_rtol_floor_clamps_the_shots(mink4, monkeypatch):
+    # tightened by 0.03, RTOL_FLOOR would be below the integrator's floor
+    apex = np.zeros(4)
+    q = np.array([-2.0, 0.0, 0.0, 0.0])
+    shots = _recorded_shots(monkeypatch)
+    rep = f_laplacian_distance(mink4.metric, mink4.weight, apex, q, m=2.0,
+                               rtol=RTOL_FLOOR)
+    assert {rtol for _, rtol, _ in shots} == {RTOL_FLOOR}
+    assert abs(rep.value + 1.5) <= 1e-8 * 1.5
+
+
+@pytest.fixture(scope="module")
+def packaged_reports(mink4, ds4w):
+    """(scenario, apex, q, report) for the 24 pairs of the packaged
+    f_laplacian_bounds checks, built as cli.check_f_laplacian builds them."""
+    out = []
+    for scen in (mink4, ds4w):
+        meta = scen.expectations["f_laplacian"]
+        if meta["mode"] == "flat":
+            m, pairs = meta["m"], [(np.zeros(4), -rho) for rho in meta["rhos"]]
+        else:
+            m, pairs = None, [(equator_point(4, t_apex), t_apex - rho)
+                              for t_apex in meta["apex_ts"]
+                              for rho in meta["rhos"]]
+        for apex, t_q in pairs:
+            q = apex.copy()
+            q[0] = t_q
+            out.append((scen, apex, q, f_laplacian_distance(
+                scen.metric, scen.weight, apex, q, m=m,
+                uniqueness=scen.uniqueness)))
+    assert len(out) == 24
+    return out
+
+
+def _off_comoving_targets(ds4w):
+    """The three de Sitter targets off the comoving line, one unit of
+    coordinate time before apex = equator_point(4, 1.5), on which Newton
+    iterates (tests/test_numerics.py and the loose-tolerance test above)."""
+    apex = equator_point(4, 1.5)
+    aside = np.array([0.15, -0.1, 0.2])
+    aside *= 0.9 / np.sqrt(aside @ ds4w.metric.at(apex)[1:, 1:] @ aside)
+    return apex, [apex + np.concatenate([[-1.0], d])
+                  for d in ([0.15, -0.1, 0.2], aside, [0.1, 0.0, 0.0])]
+
+
+def _frame_route_value(g, f, apex, q, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Delta_f d_r(q) by the frame route: the root shot at rtol and atol,
+    then the parallel frame along it and the Lagrange tensor A(0) = 0,
+    A'(0) = E, giving -theta(rho) + (f o c)'(rho)."""
+    n = g.dim
+    v, rho, _, _ = comparison._shoot_to_target(g, apex, q, rtol, atol)
+    frame = parallel_frame(g, apex, v, (0.0, rho), rtol=rtol, atol=atol)
+    traj = integrate_jacobi(frame.curvature, np.zeros((n - 1, n - 1)),
+                            np.eye(n - 1), (0.0, rho), rtol=rtol, atol=atol)
+    theta = float(np.trace(traj.Aprime(rho) @ np.linalg.inv(traj.A(rho))))
+    x_end, v_end = frame.geodesic.state(rho)
+    return -theta + float(f.gradient(x_end) @ v_end)
+
+
+# the Laplacian read from the shot's Jacobi tensor and the frame route agree
+# to this, relative to max(1, |value|); fixed before the J route was written
+ROUTE_RTOL = 1e-10
+
+
+def test_f_laplacian_agrees_with_the_frame_route(ds4w, packaged_reports):
+    cases = list(packaged_reports)
+    apex, targets = _off_comoving_targets(ds4w)
+    cases += [(ds4w, apex, q, f_laplacian_distance(ds4w.metric, ds4w.weight,
+                                                   apex, q))
+              for q in targets]
+    for scen, apex, q, rep in cases:
+        want = _frame_route_value(scen.metric, scen.weight, apex, q)
+        assert abs(rep.value - want) <= ROUTE_RTOL * max(1.0, abs(want))
+
+
+def test_f_laplacian_weighted_de_sitter_closed_form(ds4w, packaged_reports):
+    """Delta_f d = -(n-1) coth rho - K sinh(2 K t_q) for f = sinh^2(K t),
+    and slack_infinite with the exact integral of f along the comoving
+    geodesic, int_0^rho sinh^2(K (t_a - s)) ds."""
+    K, n = 2.0, 4
+    pairs = [(apex, q, rep) for scen, apex, q, rep in packaged_reports
+             if scen is ds4w]
+    assert len(pairs) == 20
+    for apex, q, rep in pairs:
+        t_a, t_q = apex[0], q[0]
+        rho = t_a - t_q
+        value = -(n - 1.0) / np.tanh(rho) - K * np.sinh(2.0 * K * t_q)
+        integral = ((np.sinh(2.0 * K * t_a) - np.sinh(2.0 * K * t_q))
+                    / (4.0 * K) - rho / 2.0)
+        bound = (-(n - 1.0) / rho + 2.0 * np.sinh(K * t_q) ** 2 / rho
+                 - 2.0 * integral / rho ** 2)
+        assert abs(rep.value - value) <= 1e-10 * max(1.0, abs(value))
+        slack = value - bound
+        assert abs(rep.slack_infinite - slack) <= 1e-10 * max(1.0, abs(slack))
+
+
+def test_laplacian_report_carries_newton_steps_and_miss(ds4w,
+                                                        packaged_reports):
+    for _, _, q, rep in packaged_reports:  # comoving: the guess is the root
+        assert rep.newton_steps == 0
+        assert rep.miss <= 1e-8 * max(1.0, np.max(np.abs(q)))
+    apex, targets = _off_comoving_targets(ds4w)
+    rep = f_laplacian_distance(ds4w.metric, ds4w.weight, apex, targets[0])
+    assert rep.newton_steps >= 1
+    assert rep.miss <= 1e-8 * max(1.0, np.max(np.abs(targets[0])))
 
 
 def test_f_laplacian_guards(mink4):

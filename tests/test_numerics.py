@@ -251,7 +251,7 @@ def test_newton_shooting_off_the_comoving_direction_matches_root(ds4w):
     g = ds4w.metric
     apex = scenarios.equator_point(4, 1.5)
     q = apex + np.array([-1.0, 0.15, -0.1, 0.2])
-    v, rho = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
+    v, rho, _, _ = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
     _assert_shot_matches_hybr(g, apex, q, v, rho)
 
 
@@ -274,7 +274,7 @@ def test_a_newton_step_that_grows_the_residual_is_halved(ds4w, monkeypatch):
         shots.append((rho, np.max(np.abs(geo.point(rho) - q))))
         return geo, J
     monkeypatch.setattr(comparison, "geodesic_variation", recorded)
-    v, rho = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
+    v, rho, _, _ = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
     (rho0, res0), (rho1, res1), (rho2, res2) = shots[:3]
     assert res1 > res0 > res2
     assert rho2 - rho0 == pytest.approx((rho1 - rho0) / 2, rel=1e-12)
@@ -285,7 +285,7 @@ def test_a_newton_step_whose_solve_fails_is_halved(ds4w, monkeypatch):
     g = ds4w.metric
     apex = scenarios.equator_point(4, 1.5)
     q = apex + np.array([-1.0, 0.15, -0.1, 0.2])
-    want_v, want_rho = comparison._shoot_to_target(g, apex, q, 1e-9, 1e-11)
+    want_v, want_rho, _, _ = comparison._shoot_to_target(g, apex, q, 1e-9, 1e-11)
     real, rhos = comparison.geodesic_variation, []
 
     def failing(fail, *args, **kwargs):
@@ -296,7 +296,7 @@ def test_a_newton_step_whose_solve_fails_is_halved(ds4w, monkeypatch):
     # the first Newton trial fails, and its half step is taken instead
     monkeypatch.setattr(comparison, "geodesic_variation",
                         lambda *a, **k: failing(lambda i: i == 2, *a, **k))
-    v, rho = comparison._shoot_to_target(g, apex, q, 1e-9, 1e-11)
+    v, rho, _, _ = comparison._shoot_to_target(g, apex, q, 1e-9, 1e-11)
     assert rhos[2] - rhos[0] == pytest.approx((rhos[1] - rhos[0]) / 2,
                                               rel=1e-12)
     assert np.allclose(v, want_v, rtol=0.0, atol=1e-10)
