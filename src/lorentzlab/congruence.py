@@ -10,15 +10,14 @@ All endomorphisms are reported as matrices in these frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import manifold
 from .errors import FrameDegeneracy, IntegratorFailure
 from .manifold import LocalGeometry, MetricField, ScalarField, christoffel
-from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, DenseOutput,
-                       ode_solve)
+from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, ode_solve
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -217,6 +216,9 @@ class FrameField:
     geodesics it has n-2 spacelike rows representing the quotient bundle,
     and null_partner(t) returns the auxiliary null vector nvec with
     g(nvec, beta') = -1 that completes the pseudo-orthonormal frame.
+    reorth_events holds one (t, residual) per solve the drift monitor sent
+    back, at its first node over reorth_threshold; empty if the first solve
+    held.
     """
 
     geodesic: GeodesicTrajectory
@@ -332,7 +334,9 @@ def _orthonormal_rows(g: MetricField, character, rows, k):
 
 
 # The drift monitor reads the Gram residual at the ends of this many equal
-# pieces of the span.
+# pieces of the span; a residual over reorth_threshold at any of them sends
+# the whole span back to the integrator at tolerances tightened by
+# _FRAME_TOL_FACTOR once more.
 _MONITOR_INTERVALS = 32
 # The frame is solved at tolerances tighter than the geodesic's by this
 # factor: over a whole span in one solve, the 1e-9 Gram accuracy of the
@@ -350,10 +354,13 @@ def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
     The frame is built by Gram-Schmidt and transported with c and c' at rtol
     and atol tightened by _FRAME_TOL_FACTOR, without re-orthogonalization,
     so transport error stays observable; the solve stops at a domain exit.
-    A drift monitor reads the Gram residual at 33 equally spaced nodes of
-    the span reached; where it exceeds reorth_threshold, it records
-    (t, residual) in reorth_events, re-orthogonalizes and solves again from
-    that node.  The pieces form one dense output, norm-checked at rtol.
+    A drift monitor reads the Gram residual at the ends of 32 equal pieces
+    of the span reached.  Where it exceeds reorth_threshold, the first such
+    node's (t, residual) goes to reorth_events and the whole span is solved
+    again from the same initial frame, at tolerances tightened by
+    _FRAME_TOL_FACTOR once more; a drift left at rtol = RTOL_FLOOR raises
+    IntegratorFailure.  The accepted solve is norm-checked at rtol; its
+    stats count the calls of every solve.
     """
     rows, character, norm, exits = _initial_data(g, p0, v0, normalize=True)
     n = g.dim
@@ -367,32 +374,27 @@ def parallel_frame(g: MetricField, p0, v0, span, reorth_threshold=1e-6,
         seeds = np.vstack([np.linalg.eigh(g.at(rows[0]))[1][:, 0], seeds])
     y0 = _orthonormal_rows(g, character, np.vstack([rows, seeds]), k)
     rhs = _transport_rhs(g)
-    tols = (max(rtol * _FRAME_TOL_FACTOR, RTOL_FLOOR), atol * _FRAME_TOL_FACTOR)
-    piece = first = _solve(rhs, g, character, norm, y0, span, *tols, exits)
-    nodes = np.linspace(first.t0, first.t1, _MONITOR_INTERVALS + 1)
-    events, pieces, nfev, start = [], [], 0, 0
+    events, nfev, tol = [], 0, (rtol, atol)
     while True:
-        nfev += piece.stats["nfev"]
-        frame = FrameField(piece, k, [])
-        later = nodes[start + 1:]
-        drift = frame.gram_residual(later)
+        tol = (max(tol[0] * _FRAME_TOL_FACTOR, RTOL_FLOOR),
+               tol[1] * _FRAME_TOL_FACTOR)
+        geo = _solve(rhs, g, character, norm, y0, span, *tol, exits)
+        nfev += geo.stats["nfev"]
+        frame = FrameField(geo, k, events)
+        nodes = np.linspace(geo.t0, geo.t1, _MONITOR_INTERVALS + 1)[1:]
+        drift = frame.gram_residual(nodes)
         over = np.flatnonzero(drift > reorth_threshold)
-        if over.size:
-            events.append((float(later[over[0]]), float(drift[over[0]])))
-        if not over.size or over[0] == len(later) - 1:
-            pieces.append((piece._dense, first.t1))
+        if not over.size:
             break
-        start += 1 + over[0]
-        pieces.append((piece._dense, nodes[start]))
-        y0 = _orthonormal_rows(g, character, piece.rows(nodes[start]), k)
-        piece = _solve(rhs, g, character, norm, y0, (nodes[start], first.t1),
-                       *tols, events=None)
-
-    dense = DenseOutput.join(pieces)
-    geo = replace(first, _dense=dense,
-                  stats=dict(first.stats, nfev=nfev, n_steps=len(dense.ts)))
+        events.append((float(nodes[over[0]]), float(drift[over[0]])))
+        if tol[0] == RTOL_FLOOR:
+            raise IntegratorFailure(
+                f"frame Gram drift {events[-1][1]:.3e} at t={events[-1][0]:.6g}"
+                f" exceeds reorth_threshold {reorth_threshold:.1e} at the "
+                f"integrator's floor rtol {RTOL_FLOOR:.3e}")
+    geo.stats["nfev"] = nfev
     _check_norm_conservation(geo, rtol)
-    return FrameField(geodesic=geo, k=k, reorth_events=events)
+    return frame
 
 
 def quotient_invariance_residual(frame: FrameField, t) -> float:

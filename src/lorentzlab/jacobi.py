@@ -276,15 +276,14 @@ class RaychaudhuriReport:
 def raychaudhuri_residual(diag: CongruenceDiagnostics, ric_fm, m) -> RaychaudhuriReport:
     """Residual of the weighted Raychaudhuri identity on the diagnostics grid.
 
-    ric_fm gives Ric_f^m(c', c') as a callable or an array on diag.ts.  The
-    identity uses the unweighted theta = theta_f + (f o c)' in the quadratic
-    term; for m = INFINITE_M the ((f o c)')^2/m term is absent.  Slack series
+    ric_fm is the array of Ric_f^m(c', c') on diag.ts.  The identity uses
+    the unweighted theta = theta_f + (f o c)' in the quadratic term; for
+    m = INFINITE_M the ((f o c)')^2/m term is absent.  Slack series
     of the one-sided finite-m and infinite-m inequality forms are returned
     as well (nonnegative where the respective curvature condition holds).
     """
     ts = diag.ts
-    ric = (np.array([float(ric_fm(t)) for t in ts]) if callable(ric_fm)
-           else np.asarray(ric_fm, dtype=float))
+    ric = np.asarray(ric_fm, dtype=float)
     if np.count_nonzero(diag.mask) < 7:
         raise InsufficientSamples("too few unmasked samples for differentiation")
 

@@ -158,7 +158,6 @@ class ScalarField:
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     hess: Callable[[np.ndarray], np.ndarray] | None = None
-    bound: float | None = None
     fd_step: float = 1e-5
     name: str = ""
 
@@ -226,7 +225,6 @@ def constant_scalar(c: float = 0.0) -> ScalarField:
         value=lambda p, _c=cval: _c,
         grad=lambda p: np.zeros(len(p)),
         hess=lambda p: np.zeros((len(p), len(p))),
-        bound=cval,
         name=f"constant({cval})",
     )
 

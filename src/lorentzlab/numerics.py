@@ -68,13 +68,13 @@ def check_in_span(t, span, what):
 
 
 class DenseOutput:
-    """The dense output of one solve, or of consecutive solves joined.
+    """The dense output of one solve.
 
     Segment i runs from ts[i] to ts[i + 1]; on it
     y(t) = y0[i] + h[i] Q[i] (x, x^2, x^3, x^4) with x = (t - ts[i]) / h[i],
     where h[i] is the step that made the segment.  It reaches past ts[i + 1]
-    where a terminal event or a join cut the step short.  A breakpoint reads
-    the earlier segment.  One parameter gives y of shape (n,), an array of N
+    where a terminal event cut the step short.  A breakpoint reads the
+    earlier segment.  One parameter gives y of shape (n,), an array of N
     an (n, N) array from one pass; a parameter off the span raises
     DomainViolation, whose message names the object read as what.
     """
@@ -99,19 +99,6 @@ class DenseOutput:
         p = np.multiply.accumulate(x[..., None] * _ONES4, axis=-1)  # x .. x^4
         y = h[..., None] * (self.Q[seg] @ p[..., None])[..., 0] + self.y0[seg]
         return y.T
-
-    @classmethod
-    def join(cls, pieces):
-        """One dense output from consecutive ones, given as (dense, end)
-        pairs: each is read up to end, where the next one starts."""
-        ts, keep = [pieces[0][0].ts[:1]], []
-        for dense, end in pieces:
-            inner = dense.ts[1:][(dense.ts[1:] - end) * (end - dense.ts[0]) < 0]
-            ts += [inner, [end]]
-            keep.append(len(inner) + 1)
-        return cls(np.concatenate(ts), *(
-            np.concatenate([getattr(d, name)[:k] for (d, _), k in zip(pieces, keep)])
-            for name in ("h", "y0", "Q")))
 
 
 @dataclass

@@ -133,10 +133,7 @@ def mean_curvature_evolution(g: MetricField, f: ScalarField,
     k = diag.k
     B = diag.B_f[sel] + (diag.fprime[sel] / k)[:, None, None] * np.eye(k)
     # Ric(N, N) + Hess f(N, N) is Ric_f^m(N, N) for m = infinity
-    m_inf = BakryEmeryParams(INFINITE_M)
-    xs, vs = run.geodesic.state(t_in)
-    ric_hess = blockwise(g, xs, lambda geom, v: geom.bakry_emery(f, m_inf, v, v),
-                         vs)
+    ric_hess = run.ric_fm_series(g, f, BakryEmeryParams(INFINITE_M), ts=t_in)
     rhs = -ric_hess - np.sum(B * B, axis=(1, 2))
     residual = np.where(diag.mask[sel], dH - rhs, np.nan)
     return MeanCurvatureReport(ts=t_in, H_f=H_f[sel], residual=residual,

@@ -60,6 +60,18 @@ def test_run_minkowski_subset(tmp_path):
             assert line.rstrip().endswith("]") and "[" in line
 
 
+def test_flat_laplacian_slack_prints_zero_not_rounding(tmp_path):
+    # the least Minkowski slack is 0 in closed form; the solve's rounding is not
+    # reported as a negative slack
+    cfg = parse_config(json.dumps({
+        "scenario": "minkowski4", "checks": ["f_laplacian_bounds"],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(cfg) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "min bound slack 0.000e+00 over 4 pairs" in report
+
+
 def test_run_documented_expected_failure(tmp_path):
     # unweighted de Sitter violates the convergence condition: exit 1
     cfg = parse_config(json.dumps({

@@ -134,8 +134,40 @@ def test_drift_monitor_records_reorthogonalization(ds4):
     frame = parallel_frame(ds4.metric, spec.p0, spec.v0, (-1.2, 6.0),
                            rtol=1e-3, atol=1e-5, reorth_threshold=1e-9)
     assert frame.reorth_events  # sloppy transport must trip the monitor
-    # after each re-orthogonalization the frame is clean again at the end
+    # the tighter re-solve holds the frame to the end
     assert frame.gram_residual(6.0) < 1e-6
+
+
+DRIFT_SETTINGS = [
+    ("comoving", (-1.2, 6.0), 1e-3, 1e-5, 1e-9),  # the drift test's setting
+    ("comoving", (-1.2, 6.0), 1e-3, 1e-5, 1e-6),  # the default threshold
+    ("null_equatorial", (0.0, 2.0), 1e-7, 1e-9, 1e-11),
+]
+
+
+@pytest.mark.parametrize("label, span, rtol, atol, threshold", DRIFT_SETTINGS)
+def test_returned_frame_keeps_its_gram_drift_under_the_threshold(
+        ds4, label, span, rtol, atol, threshold):
+    spec = ds4.geodesic(label)
+    frame = parallel_frame(ds4.metric, spec.p0, spec.v0, span, rtol=rtol,
+                           atol=atol, reorth_threshold=threshold)
+    assert frame.reorth_events  # the first solve drifted and was re-solved
+    geo = frame.geodesic
+    nodes = np.linspace(geo.t0, geo.t1, 33)
+    assert np.max(frame.gram_residual(nodes)) <= threshold
+    assert np.max(frame.gram_residual(np.linspace(*geo.span, 2001))) <= threshold
+
+
+@pytest.mark.parametrize("label, span, rtol, atol", [
+    ("comoving", (-1.2, 6.0), 1e-3, 1e-5),
+    ("null_equatorial", (0.0, 2.0), 1e-7, 1e-9),
+])
+def test_unreachable_drift_threshold_raises_at_the_tolerance_floor(
+        ds4, label, span, rtol, atol):
+    spec = ds4.geodesic(label)
+    with pytest.raises(IntegratorFailure, match="Gram drift"):
+        parallel_frame(ds4.metric, spec.p0, spec.v0, span, rtol=rtol,
+                       atol=atol, reorth_threshold=1e-20)
 
 
 def test_curvature_values(mink4, ds4, static4):
@@ -386,19 +418,17 @@ def test_whole_grid_curvature_matches_the_per_parameter_values(name, label):
 
 
 @pytest.mark.parametrize("label, span, rtol, atol, threshold", [
-    ("comoving", (-1.2, 6.0), 1e-3, 1e-5, 1e-9),  # the drift test's setting
-    ("null_equatorial", (0.0, 2.0), 1e-7, 1e-9, 1e-11),
-])
-def test_frame_state_across_a_restart_matches_the_pointwise_values(
+    DRIFT_SETTINGS[0], DRIFT_SETTINGS[2]])
+def test_frame_state_after_a_drift_re_solve_matches_the_pointwise_values(
         ds4, label, span, rtol, atol, threshold):
     spec = ds4.geodesic(label)
     frame = parallel_frame(ds4.metric, spec.p0, spec.v0, span, rtol=rtol,
                            atol=atol, reorth_threshold=threshold)
-    restarts = np.array([t for t, _ in frame.reorth_events
-                         if t < frame.geodesic.t1])
-    assert restarts.size
-    # every restart node, and parameters on both sides of each
-    ts = np.sort(np.concatenate([restarts, restarts - 1e-3, restarts + 1e-3,
+    drifted = np.array([t for t, _ in frame.reorth_events
+                        if t < frame.geodesic.t1])
+    assert drifted.size
+    # every node where a rejected solve drifted, and parameters on both sides
+    ts = np.sort(np.concatenate([drifted, drifted - 1e-3, drifted + 1e-3,
                                  np.linspace(*span, 29)]))
     grid = frame.state(ts)
     for i, t in enumerate(ts):
@@ -406,8 +436,6 @@ def test_frame_state_across_a_restart_matches_the_pointwise_values(
             assert np.max(np.abs(whole[i] - single)) <= 1e-14
     assert np.allclose(frame.gram_residual(ts),
                        [frame.gram_residual(t) for t in ts], rtol=0.0, atol=1e-14)
-    # each restart starts from a clean frame, null partner included
-    assert np.max(frame.gram_residual(restarts + 1e-6)) <= 1e-14
 
 
 def test_one_geodesic_solution_serves_every_stage(ds4w, ds4w_comoving_run,
