@@ -296,9 +296,9 @@ class LocalGeometry:
     for ODE stages without validating it.
 
     G, G_inv, dG[c, a, b] = d_c g_ab and gamma[a, b, c] = Gamma^a_{bc} are
-    built on construction; dgamma[e, a, b, c] = d_e Gamma^a_{bc}, riemann and
-    ricci the first time one is read, so consumers of gamma alone (Hessians)
-    never evaluate second derivatives.
+    built on construction; dgamma[e, a, b, c] = d_e Gamma^a_{bc}, riemann,
+    riemann_lowered and ricci the first time one is read, so consumers of
+    gamma alone (Hessians) never evaluate second derivatives.
     For a stack every array gains a leading row axis, and each row is equal,
     bit for bit, to the geometry of that point alone.  The stack is checked
     by one validation that names the first offending row.  Its riemann holds
@@ -361,6 +361,11 @@ class LocalGeometry:
                 + quad - np.einsum("...abdc->...abcd", quad))
 
     @cached_property
+    def riemann_lowered(self) -> np.ndarray:
+        """Fully covariant R[a, b, c, d] = g_ae R^e_{bcd}."""
+        return np.einsum("...ae,...ebcd->...abcd", self.G, self.riemann)
+
+    @cached_property
     def ricci(self) -> np.ndarray:
         """Ric_bd = R^a_{bad}."""
         ric = np.einsum("...abad->...bd", self.riemann)
@@ -419,8 +424,7 @@ def riemann(g: MetricField, p) -> np.ndarray:
 
 def riemann_lowered(g: MetricField, p) -> np.ndarray:
     """Fully covariant R[a, b, c, d] = g_ae R^e_{bcd}."""
-    geom = LocalGeometry(g, p)
-    return np.einsum("ae,ebcd->abcd", geom.G, geom.riemann)
+    return LocalGeometry(g, p).riemann_lowered
 
 
 def ricci(g: MetricField, p) -> np.ndarray:

@@ -14,56 +14,22 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from . import manifold
 from .comparison import SampleSpec, finite_samples, sample_plan
 from .manifold import (INFINITE_M, BakryEmeryParams, MetricField, ScalarField,
-                       christoffel, constant_scalar, riemann_lowered)
+                       christoffel, constant_scalar)
 
 POLE_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
-# round-sphere components in the angular chart
+# warped products over the round sphere
 # ---------------------------------------------------------------------------
-
-def _sphere_diag(angles):
-    """h_ii = prod_{j<i} sin^2(a_j) for the unit round sphere."""
-    d = len(angles)
-    h = np.ones(d)
-    for i in range(1, d):
-        h[i] = h[i - 1] * math.sin(angles[i - 1]) ** 2
-    return h
-
-
-def _sphere_diag_d(angles):
-    """dh[k, i] = d_k h_ii."""
-    d = len(angles)
-    h = _sphere_diag(angles)
-    dh = np.zeros((d, d))
-    for i in range(d):
-        for k in range(i):
-            dh[k, i] = 2.0 * h[i] / math.tan(angles[k])
-    return dh
-
-
-def _sphere_diag_dd(angles):
-    """ddh[k, l, i] = d_k d_l h_ii."""
-    d = len(angles)
-    h = _sphere_diag(angles)
-    ddh = np.zeros((d, d, d))
-    for i in range(d):
-        for k in range(i):
-            ck = 1.0 / math.tan(angles[k])
-            sk = math.sin(angles[k])
-            ddh[k, k, i] = h[i] * (4.0 * ck ** 2 - 2.0 / sk ** 2)
-            for l in range(i):
-                if l != k:
-                    ddh[k, l, i] = 4.0 * h[i] * ck / math.tan(angles[l])
-    return ddh
-
 
 def _warped_domain(n):
     dom = [(-np.inf, np.inf)]
@@ -74,41 +40,62 @@ def _warped_domain(n):
 
 
 def _warped_metric(n, w, dw, ddw, name):
-    """-dt^2 + w(t)^2 h on R x S^{n-1}, with analytic derivatives."""
+    """-dt^2 + w(t)^2 h on R x S^{n-1}, with analytic derivatives.
+
+    The unit round sphere is diagonal in the angular chart: g_ii = w^2 h_i
+    for i >= 1, with h_i = prod_{j<i} sin^2 a_j over the polar angles before
+    the i-th coordinate.  Every derivative of g_ii is h_i times a factor:
+    d_j h_i = q_j h_i with q_j = 2 cot a_j and
+    d_j d_l h_i = (q_j q_l - 2 delta_jl / sin^2 a_j) h_i for j, l < i, while
+    the time derivatives fall on w^2 alone.  Each callback builds h once.
+    """
+    diag = slice(n + 1, None, n + 1)  # g_ii, i >= 1, of a flattened n x n
+    # before[c, i - 1]: coordinate c is the time or a polar angle before the
+    # i-th, so d_c g_ii can be nonzero; the rest stay +0.0, as in np.zeros
+    before = np.triu(np.ones((n, n - 1), dtype=bool))
+    both = before[:, None] & before
+
+    def sphere(p):
+        """The time, the polar angles, their sin^2, and h[i - 1] = h_i
+        multiplied out as a running product."""
+        t, *polar, _ = np.asarray(p, dtype=float).tolist()
+        sin2 = [math.sin(a) ** 2 for a in polar]
+        return t, polar, sin2, [*accumulate(sin2, mul, initial=1.0)]
+
+    def log_derivatives(polar):
+        """q_c = 2 cot a_c = d_c h_i / h_i for the polar angles a_c."""
+        return [2.0 / math.tan(a) for a in polar]
 
     def matrix(p):
+        t, _, _, h = sphere(p)
+        w2 = w(t) ** 2
         g = np.zeros((n, n))
-        g[0, 0] = -1.0
-        h = _sphere_diag(p[1:])
-        wt = w(p[0])
-        for i in range(1, n):
-            g[i, i] = wt ** 2 * h[i - 1]
+        g.reshape(-1)[::n + 1] = [-1.0, *(w2 * h_i for h_i in h)]
         return g
 
     def d_matrix(p):
+        t, polar, _, h = sphere(p)
+        wt = w(t)
+        w2 = wt ** 2
+        # d_c g_ii / h_i by rows c: the time, the polar angles, the azimuth
+        rows = np.array([[2.0 * wt * dw(t)],
+                         *([w2 * q] for q in log_derivatives(polar)), [0.0]])
         dg = np.zeros((n, n, n))
-        h = _sphere_diag(p[1:])
-        dh = _sphere_diag_d(p[1:])
-        wt, dwt = w(p[0]), dw(p[0])
-        for i in range(1, n):
-            dg[0, i, i] = 2.0 * wt * dwt * h[i - 1]
-            for k in range(1, n):
-                dg[k, i, i] = wt ** 2 * dh[k - 1, i - 1]
+        dg.reshape(n, -1)[:, diag] = np.where(before, rows * h, 0.0)
         return dg
 
     def dd_matrix(p):
+        t, polar, sin2, h = sphere(p)
+        wt, dwt, ddwt = w(t), dw(t), ddw(t)
+        coef = np.full((n, n), wt ** 2)
+        coef[0, :] = coef[:, 0] = 2.0 * wt * dwt
+        coef[0, 0] = 2.0 * (dwt ** 2 + wt * ddwt)
+        q = np.array([1.0, *log_derivatives(polar), 0.0])  # 1: the time row
+        qq = q[:, None] * q
+        qq.reshape(-1)[::n + 1] -= [0.0, *(2.0 / s for s in sin2), 0.0]
         ddg = np.zeros((n, n, n, n))
-        h = _sphere_diag(p[1:])
-        dh = _sphere_diag_d(p[1:])
-        ddh = _sphere_diag_dd(p[1:])
-        wt, dwt, ddwt = w(p[0]), dw(p[0]), ddw(p[0])
-        for i in range(1, n):
-            ddg[0, 0, i, i] = 2.0 * (dwt ** 2 + wt * ddwt) * h[i - 1]
-            for k in range(1, n):
-                ddg[0, k, i, i] = 2.0 * wt * dwt * dh[k - 1, i - 1]
-                ddg[k, 0, i, i] = ddg[0, k, i, i]
-                for l in range(1, n):
-                    ddg[k, l, i, i] = wt ** 2 * ddh[k - 1, l - 1, i - 1]
+        ddg.reshape(n, n, -1)[:, :, diag] = np.where(
+            both, (coef * qq)[:, :, None] * h, 0.0)
         return ddg
 
     return MetricField(dim=n, matrix=matrix, d_matrix=d_matrix,
@@ -225,7 +212,7 @@ class Scenario:
                 else:
                     expected = entry["K"] * (np.einsum("ac,bd->abcd", G, G)
                                              - np.einsum("ad,bc->abcd", G, G))
-                    res = np.max(np.abs(riemann_lowered(self.metric, p) - expected))
+                    res = np.max(np.abs(geom.riemann_lowered - expected))
                 assert res <= tol, f"{self.name}:{key} residual {res}"
         return True
 

@@ -326,7 +326,8 @@ def test_stacked_geometry_equals_the_pointwise_loop(name, fd_only):
     # (bytes, so signed zeros count)
     for geoms in ([stacked], [LocalGeometry.stage(g, pts)],
                   [LocalGeometry.stage(g, p) for p in pts]):
-        for name in ("G", "G_inv", "gamma", "dgamma", "riemann"):
+        for name in ("G", "G_inv", "gamma", "dgamma", "riemann",
+                     "riemann_lowered"):
             want = np.array([getattr(geom, name) for geom in loop])
             got = np.array([getattr(geom, name) for geom in geoms])
             assert got.reshape(want.shape).tobytes() == want.tobytes(), name

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from lorentzlab import (certify_weighted_de_sitter, christoffel, de_sitter,
                         hessian_scalar, riemann, scenario_from_config,
@@ -9,7 +11,8 @@ from lorentzlab import (certify_weighted_de_sitter, christoffel, de_sitter,
 from lorentzlab.comparison import SampleSpec
 from lorentzlab.errors import NonFiniteSample
 from lorentzlab.manifold import INFINITE_M, LocalGeometry, MetricField
-from lorentzlab.scenarios import BUILTIN_SCENARIOS, equator_point
+from lorentzlab.scenarios import (BUILTIN_SCENARIOS, POLE_MARGIN, WARPS,
+                                  equator_point)
 
 from test_comparison import _sample_plan_loop
 
@@ -18,6 +21,23 @@ def test_all_builtin_manifests_validate():
     for name, make in BUILTIN_SCENARIOS.items():
         scen = make()
         assert scen.validate(), name
+
+
+def test_validate_builds_one_geometry_per_manifest_point(monkeypatch):
+    # the constant-curvature entry reads riemann_lowered from the point's own
+    # geometry; the geodesic spot checks build one geometry each
+    scen = de_sitter(4)
+    built = []
+    build = LocalGeometry._build
+
+    def counted(self, metric, p, G):
+        built.append(p)
+        build(self, metric, p, G)
+
+    monkeypatch.setattr(LocalGeometry, "_build", counted)
+    assert scen.validate()
+    points = sum(len(entry.get("points", ())) for entry in scen.manifest.values())
+    assert len(built) == len(scen.geodesics) + points == 8
 
 
 def test_de_sitter_agrees_with_generic_warped_product(ds4):
@@ -36,7 +56,6 @@ def test_de_sitter_agrees_with_generic_warped_product(ds4):
 def _symbolic_warped_metric(n, warp, radius):
     """matrix, d_matrix, dd_matrix of -dt^2 + (radius w(t))^2 h, derived by
     sympy and compiled to numpy (derivative indices first)."""
-    sp = pytest.importorskip("sympy")
     x = sp.symbols(f"x0:{n}")
     t = x[0]
     w = {"one": sp.Integer(1), "cosh": sp.cosh(t), "sech": 1 / sp.cosh(t),
@@ -54,10 +73,24 @@ def _symbolic_warped_metric(n, warp, radius):
     return tuple(sp.lambdify([x], expr, "numpy") for expr in (g, dg, ddg))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def _warped_sample_points(n, rng):
+    """Seeded chart points: 12 with polar angles in (0.4, pi - 0.4), and one
+    for each choice of pole per polar angle, with every angle within 0.01 of
+    POLE_MARGIN from its pole, where cot and 1 / sin^2 are large."""
+    def point(polar):
+        return np.concatenate([[rng.uniform(-1.5, 1.5)], polar,
+                               [rng.uniform(0.0, 2.0 * math.pi)]])
+
+    pts = [point(rng.uniform(0.4, math.pi - 0.4, n - 2)) for _ in range(12)]
+    for poles in itertools.product((0.0, math.pi), repeat=n - 2):
+        near = POLE_MARGIN + rng.uniform(0.0, 0.01, n - 2)
+        pts.append(point(np.abs(np.array(poles) - near)))
+    return pts
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("warp", ["one", "cosh", "sech", "two_plus_cos"])
 def test_warped_metric_derivatives_match_symbolic_oracle(warp, n):
-    from lorentzlab.scenarios import WARPS
     assert warp in WARPS
     lam = 1.5
     cases = [(warped_product(warp, lam, n).metric,
@@ -65,10 +98,8 @@ def test_warped_metric_derivatives_match_symbolic_oracle(warp, n):
     if warp == "cosh":
         cases.append((de_sitter(n).metric, _symbolic_warped_metric(n, warp, 1)))
     rng = np.random.default_rng(1000 * n + len(warp))
-    for _ in range(12):
-        p = np.concatenate([[rng.uniform(-1.5, 1.5)],
-                            rng.uniform(0.4, math.pi - 0.4, n - 2),
-                            [rng.uniform(0.0, 2.0 * math.pi)]])
+    for p in _warped_sample_points(n, rng):
+        assert cases[0][0].in_domain(p)
         for metric, oracle in cases:
             for cb, sym in zip((metric.matrix, metric.d_matrix,
                                 metric.dd_matrix), oracle):
@@ -76,6 +107,29 @@ def test_warped_metric_derivatives_match_symbolic_oracle(warp, n):
                 err = np.max(np.abs(np.asarray(cb(p)) - exact))
                 assert err <= 1e-12 * max(1.0, np.max(np.abs(exact))), \
                     (metric.name, cb.__name__, p, err)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_warped_matrix_is_the_running_product_bit_for_bit(n):
+    # validation, the frame and the norm check read these bits: the diagonal
+    # (-1, w^2, w^2 sin^2 a_1, ...) with h_i multiplied out as a running
+    # product, h_{i+1} = h_i sin^2 a_i, and g_ii = w^2 h_i
+    lam = 1.5
+    r = math.sqrt((n - 2) / lam)
+    cases = [(de_sitter(n).metric, math.cosh),
+             (warped_product("two_plus_cos", lam, n).metric,
+              lambda t: r * (2.0 + math.cos(t)))]
+    rng = np.random.default_rng(77 + n)
+    pts = _warped_sample_points(n, rng) + [equator_point(n, t)
+                                           for t in (-1.2, 0.0, 0.7)]
+    for metric, w in cases:
+        for p in pts:
+            wt, h, diag = w(p[0]), 1.0, [-1.0]
+            for a in p[1:]:
+                diag.append(wt ** 2 * h)
+                h = h * math.sin(a) ** 2
+            assert metric.matrix(p).tobytes() == np.diag(diag).tobytes(), \
+                (metric.name, p)
 
 
 def test_generic_warp_cross_checked_against_finite_differences():
