@@ -321,13 +321,14 @@ def check_f_laplacian(scen: Scenario, cfg: RunConfig, runs) -> CheckResult:
     def settled(slack, bound):  # a slack within rounding of its bound is 0
         return 0.0 if abs(slack) <= 1e-12 * max(1.0, abs(bound)) else slack
 
-    worst = np.inf
-    for apex, t_q in pairs:
-        q = apex.copy()
-        q[0] = t_q
-        rep = f_laplacian_distance(scen.metric, scen.weight, apex, q, m=m,
-                                   uniqueness=scen.uniqueness,
+    apexes = np.array([apex for apex, _ in pairs])
+    targets = apexes.copy()
+    targets[:, 0] = [t_q for _, t_q in pairs]
+    reports = f_laplacian_distance(scen.metric, scen.weight, apexes, targets,
+                                   m=m, uniqueness=scen.uniqueness,
                                    rtol=cfg.rtol, atol=cfg.atol)
+    worst = np.inf
+    for (apex, t_q), rep in zip(pairs, reports):
         worst = min(worst, settled(rep.slack_infinite, rep.bound_infinite))
         if m is None:
             continue

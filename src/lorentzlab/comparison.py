@@ -15,8 +15,8 @@ from .errors import (LorentzLabError, NoMaximalGeodesic, NonFiniteSample,
                      OutsideUniquenessRegion)
 from .manifold import (BakryEmeryParams, LocalGeometry, MetricField,
                        ScalarField, _dot, bakry_emery_ricci, blockwise)
-from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, adaptive_simpson,
-                       spawn_rngs)
+from .numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, spawn_rngs,
+                       step_quadrature)
 
 
 @dataclass
@@ -215,18 +215,21 @@ _STEP_HALVINGS = 8
 _SHOT_TOL_FACTOR = 0.03
 
 
-def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
-    """(v, rho, geo, steps): the past-directed unit timelike geodesic from
-    apex with velocity v reaches q at arc length rho, in the accepted shot's
-    geodesic_variation solve geo, after steps Newton steps.
+def _newton(g: MetricField, apex, q):
+    """Newton shooting from apex to q, as a generator: it yields each shot it
+    needs as (v, rho), is sent that shot's geodesic_variation outcome, a
+    (geo, J) pair or the LorentzLabError that ended it, and returns
+    (v, rho, geo, steps): the past-directed unit timelike geodesic from apex
+    with velocity v reaches q at arc length rho, in the accepted shot's
+    solve geo, after steps Newton steps.
 
     Unknowns are the spatial velocity components w and rho; the time
     component is fixed by unit normalization with the past root.  Newton's
     method takes the exact Jacobian of the residual c(rho) - q: the end-point
     derivative of geodesic_variation through dv/dw, and c'(rho).  A trial step
     whose solve fails, leaves the chart or does not shrink max|c(rho) - q| is
-    halved, _STEP_HALVINGS times at most.  A root whose own shot, solved at
-    rtol and atol, misses q by more than 1e-8 (relative) is spurious.
+    halved, _STEP_HALVINGS times at most.  A root whose own shot misses q by
+    more than 1e-8 (relative) is spurious.
     """
     n = g.dim
     apex = np.asarray(apex, dtype=float)
@@ -255,13 +258,10 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
         v = assemble_velocity(w)
         if v is None or rho <= 0.0:
             return None
-        try:
-            geo, J = geodesic_variation(g, apex, v, (0.0, rho), rtol=rtol,
-                                        atol=atol)
-        except LorentzLabError:
+        solved = yield v, rho
+        if isinstance(solved, LorentzLabError) or solved[0].exited_domain:
             return None
-        if geo.exited_domain:
-            return None
+        geo, J = solved
         x_end, v_end = geo.state(rho)
         Gv = G @ v  # g(v, dv) = 0 gives dv^0/dw
         dv_dw = np.vstack([-Gv[1:] / Gv[0], np.eye(n - 1)])
@@ -270,7 +270,7 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
     dp = q - apex
     rho_guess = max(np.sqrt(max(-float(dp @ G @ dp), 1e-4)), 1e-2)
     x = np.concatenate([dp[1:] / rho_guess, [rho_guess]])
-    shot = shoot(x)
+    shot = yield from shoot(x)
     if shot is None:
         raise NoMaximalGeodesic(f"shooting from {apex} to {q} failed at the "
                                 "initial guess")
@@ -283,7 +283,7 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
         if np.linalg.norm(step) <= _NEWTON_XTOL * max(1.0, np.linalg.norm(x)):
             break
         for _ in range(_STEP_HALVINGS + 1):
-            trial = shoot(x + step)
+            trial = yield from shoot(x + step)
             if (trial is not None
                     and np.max(np.abs(trial[0])) < np.max(np.abs(shot[0]))):
                 break
@@ -302,9 +302,48 @@ def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
     return assemble_velocity(x[:-1]), float(x[-1]), shot[2], steps
 
 
+def _shoot(g: MetricField, pairs, rtol, atol):
+    """Newton shooting for every (apex, q) of pairs in lockstep: each round,
+    the pending shot of every pair still iterating is one lane of one
+    geodesic_variation, solved at rtol and atol.  Returns, per pair,
+    _newton's (v, rho, geo, steps), or the LorentzLabError that ended it."""
+    runs = [_newton(g, apex, q) for apex, q in pairs]
+    out, pending = [None] * len(runs), {}
+
+    def advance(i, outcome):
+        try:
+            pending[i] = runs[i].send(outcome)
+        except StopIteration as done:
+            out[i] = done.value
+        except LorentzLabError as err:
+            out[i] = err
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        ids = sorted(pending)
+        shots = [pending.pop(i) for i in ids]
+        solved = geodesic_variation(
+            g, [pairs[i][0] for i in ids], [v for v, _ in shots],
+            [(0.0, rho) for _, rho in shots], rtol=rtol, atol=atol)
+        for i, outcome in zip(ids, solved):
+            advance(i, outcome)
+    return out
+
+
+def _shoot_to_target(g: MetricField, apex, q, rtol, atol):
+    """_newton's (v, rho, geo, steps) for one pair, its shots solved at rtol
+    and atol; raises the LorentzLabError that ends it."""
+    (out,) = _shoot(g, [(apex, q)], rtol, atol)
+    if isinstance(out, LorentzLabError):
+        raise out
+    return out
+
+
 def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
-                         uniqueness=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> LaplacianReport:
-    """Delta_f of the distance-to-apex function at q, with comparison bounds.
+                         uniqueness=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Delta_f of the distance-to-apex function at q, with comparison bounds,
+    as a LaplacianReport.
 
     All is read from Newton's accepted shot, solved at rtol and atol times
     _SHOT_TOL_FACTOR (rtol >= RTOL_FLOOR).  Its coordinate Jacobi tensor J
@@ -312,13 +351,39 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     with DJ/dt = J' + Gamma(c', J), tr(DJ/dt J^-1) = theta + 1/rho and
     Delta d_r(q) = -theta; as grad d_r = -c', Delta_f d_r = Delta d_r +
     (f o c)'(rho).  Returns the finite-m bound -(n+m-1)/rho (when m is
-    given) and the infinite-m bound, whose integral of f reads the same solve.
+    given) and the infinite-m bound, whose integral of f is the 4-point
+    Gauss-Legendre rule on the accepted shot's steps, read from its dense
+    output in one pass.
+
+    Stacks of L apexes and targets, one pair per row, give the list of L
+    reports: the pairs shoot in lockstep (_shoot), each with the iterates of
+    its solo run, and where pairs fail the error of the first of them in
+    pair order is raised.
     """
-    if uniqueness is not None and not uniqueness(apex, q):
-        raise OutsideUniquenessRegion(f"pair ({apex}, {q}) not declared unique")
-    n = g.dim
+    apex, q = np.asarray(apex, dtype=float), np.asarray(q, dtype=float)
+    if apex.ndim == 1:
+        return f_laplacian_distance(g, f, apex[None], q[None], m, uniqueness,
+                                    rtol, atol)[0]
+    unique = [uniqueness is None or uniqueness(a, b) for a, b in zip(apex, q)]
     tols = max(rtol * _SHOT_TOL_FACTOR, RTOL_FLOOR), atol * _SHOT_TOL_FACTOR
-    _, rho, geo, steps = _shoot_to_target(g, apex, q, *tols)
+    shots = iter(_shoot(g, [pair for pair, ok in zip(zip(apex, q), unique)
+                            if ok], *tols))
+    reports = []
+    for a, b, ok in zip(apex, q, unique):
+        if not ok:
+            raise OutsideUniquenessRegion(
+                f"pair ({a}, {b}) not declared unique")
+        shot = next(shots)
+        if isinstance(shot, LorentzLabError):
+            raise shot
+        reports.append(_laplacian_report(g, f, b, m, *shot[1:]))
+    return reports
+
+
+def _laplacian_report(g: MetricField, f: ScalarField, q, m, rho, geo, steps):
+    """The LaplacianReport at q of f_laplacian_distance from the accepted
+    shot geo, reaching q at rho after steps Newton steps."""
+    n = g.dim
     rows = geo.rows(rho)  # [c, c', J^T, J'^T]
     x_end, v_end, J_t = rows[0], rows[1], rows[2: 2 + n]
     gamma = LocalGeometry(g, x_end).gamma
@@ -327,8 +392,8 @@ def f_laplacian_distance(g: MetricField, f: ScalarField, apex, q, m=None,
     value = lap + float(f.gradient(x_end) @ v_end)
     bound_fin = None if m is None else -(n + float(m) - 1.0) / rho
     fq = f.at(q)
-    integral = adaptive_simpson(lambda s: np.array(f.at(geo.point(s))),
-                                0.0, rho, tol=1e-10)
+    nodes, weights = step_quadrature(geo.step_times)
+    integral = weights @ [f.at(x) for x in geo.point(nodes).T]
     bound_inf = -(n - 1.0) / rho + 2.0 * fq / rho - 2.0 * float(integral) / rho ** 2
     return LaplacianReport(
         value=value, laplacian=lap, rho=rho,

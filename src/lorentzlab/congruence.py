@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import manifold
-from .errors import FrameDegeneracy, IntegratorFailure
+from .errors import FrameDegeneracy, IntegratorFailure, LorentzLabError
 from .manifold import LocalGeometry, MetricField, ScalarField, christoffel
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR, ode_solve
 
@@ -65,18 +65,26 @@ class GeodesicTrajectory:
     def span(self):
         return (self.t0, self.t1)
 
+    @property
+    def step_times(self):
+        """The solve's accepted step times, t0 first and t1 last."""
+        return self._dense.ts
+
 
 def _transport_rhs(g: MetricField):
     """y = [x, v, w_1, ...] moves by x' = v, v' = -Gamma(v, v) and
     w_i' = -Gamma(v, w_i), all from one stage geometry; a bare geodesic
-    carries no rows w_i."""
+    carries no rows w_i.  A stack of states, one per row, moves row by row
+    from one stacked stage geometry, each row as that state alone."""
     n = g.dim
 
     def rhs(t, y):
-        x, moving = y[:n], y[n:].reshape(-1, n)
+        x, moving = y[..., :n], y[..., n:].reshape(y.shape[:-1] + (-1, n))
+        v = moving[..., 0, :]
         gamma = LocalGeometry.stage(g, x).gamma
-        dmoving = -np.einsum("abc,b,ic->ia", gamma, moving[0], moving)
-        return np.concatenate([moving[0], dmoving.ravel()])
+        dmoving = -np.einsum("...abc,...b,...ic->...ia", gamma, v, moving)
+        return np.concatenate([v, dmoving.reshape(y.shape[:-1] + (-1,))],
+                              axis=-1)
     return rhs
 
 
@@ -113,15 +121,20 @@ def _initial_data(g: MetricField, p0, v0, normalize):
     return np.vstack([p0, v0]), character, norm, events
 
 
+def _trajectory(g, character, norm, t0, sol):
+    """The geodesic of the ode_solve result sol, started at t0."""
+    return GeodesicTrajectory(
+        metric=g, character=character, norm=norm, t0=t0, t1=sol.t[-1],
+        stats={"nfev": sol.nfev, "n_steps": len(sol.t), "status": sol.status},
+        exited_domain=sol.status == 1, _dense=sol.sol)
+
+
 def _solve(rhs, g, character, norm, rows, span, rtol, atol, events):
     """The geodesic whose state, moved by rhs, starts with rows, solved over
     span."""
     sol = ode_solve(rhs, span, rows.ravel(), rtol=rtol, atol=atol,
                     events=events)
-    return GeodesicTrajectory(
-        metric=g, character=character, norm=norm, t0=span[0], t1=sol.t[-1],
-        stats={"nfev": sol.nfev, "n_steps": len(sol.t), "status": sol.status},
-        exited_domain=sol.status == 1, _dense=sol.sol)
+    return _trajectory(g, character, norm, span[0], sol)
 
 
 def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
@@ -142,17 +155,22 @@ def integrate_geodesic(g: MetricField, p0, v0, span, rtol=DEFAULT_RTOL,
 def _variation_rhs(g: MetricField):
     """y = [x, v, dx_1..dx_n, dv_1..dv_n]: the geodesic, x' = v and
     v' = -Gamma(v, v), with its variations dx_i' = dv_i and
-    dv_i' = -(d Gamma . dx_i)(v, v) - 2 Gamma(v, dv_i)."""
+    dv_i' = -(d Gamma . dx_i)(v, v) - 2 Gamma(v, dv_i).  A stack of states
+    moves row by row, as _transport_rhs's does."""
     n = g.dim
 
     def rhs(t, y):
-        x, v = y[:n], y[n: 2 * n]
-        dx, dv = y[2 * n:].reshape(2, n, n)
+        lead = y.shape[:-1]
+        x, v = y[..., :n], y[..., n: 2 * n]
+        dx, dv = np.moveaxis(y[..., 2 * n:].reshape(lead + (2, n, n)), -3, 0)
         geom = LocalGeometry.stage(g, x)
-        ddv = -(np.einsum("eabc,b,c,ie->ia", geom.dgamma, v, v, dx)
-                + 2.0 * np.einsum("abc,b,ic->ia", geom.gamma, v, dv))
-        return np.concatenate([v, -np.einsum("abc,b,c->a", geom.gamma, v, v),
-                               dv.ravel(), ddv.ravel()])
+        ddv = -(np.einsum("...eabc,...b,...c,...ie->...ia", geom.dgamma, v, v,
+                          dx)
+                + 2.0 * np.einsum("...abc,...b,...ic->...ia", geom.gamma, v,
+                                  dv))
+        return np.concatenate(
+            [v, -np.einsum("...abc,...b,...c->...a", geom.gamma, v, v),
+             dv.reshape(lead + (-1,)), ddv.reshape(lead + (-1,))], axis=-1)
     return rhs
 
 
@@ -166,14 +184,36 @@ def geodesic_variation(g: MetricField, p0, v0, span, rtol, atol):
     (Eschenburg & O'Sullivan, Math. Ann. 252, 1980), solved with the
     geodesic by the variational equation, whose d Gamma comes from
     LocalGeometry.dgamma.  Its norm is checked as integrate_geodesic's is.
+
+    Stacks of L points p0 and velocities v0, with a span per row (one span
+    is shared), are L lanes of one ensemble ode_solve, each norm-checked on
+    its own; the list returned holds each lane's (traj, J), or the
+    LorentzLabError that ended its solve or norm check.  One lane is the
+    one-point case.
     """
-    rows, character, norm, events = _initial_data(g, p0, v0, normalize=False)
+    if np.ndim(p0) == 1:
+        (out,) = geodesic_variation(g, [p0], [v0], [span], rtol, atol)
+        if isinstance(out, LorentzLabError):
+            raise out
+        return out
     n = g.dim
-    traj = _solve(_variation_rhs(g), g, character, norm,
-                  np.vstack([rows, np.zeros((n, n)), np.eye(n)]), span, rtol,
-                  atol, events)
-    _check_norm_conservation(traj, rtol)
-    return traj, traj.rows(traj.t1)[2: 2 + n].T
+    spans = np.broadcast_to(np.asarray(span, dtype=float), (len(p0), 2))
+    lanes = [_initial_data(g, p, v, normalize=False) for p, v in zip(p0, v0)]
+    y0 = np.stack([np.vstack([rows, np.zeros((n, n)), np.eye(n)]).ravel()
+                   for rows, _, _, _ in lanes])
+    sols = ode_solve(_variation_rhs(g), spans, y0, rtol=rtol, atol=atol,
+                     events=lanes[0][3]).lanes
+    out = []
+    for (_, character, norm, _), (t0, _), sol in zip(lanes, spans, sols):
+        if not isinstance(sol, LorentzLabError):
+            traj = _trajectory(g, character, norm, t0, sol)
+            try:
+                _check_norm_conservation(traj, rtol)
+                sol = traj, traj.rows(traj.t1)[2: 2 + n].T
+            except LorentzLabError as err:
+                sol = err
+        out.append(sol)
+    return out
 
 
 _NORM_SAMPLES = 200  # least size of the norm check's uniform grid

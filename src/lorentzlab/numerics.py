@@ -1,14 +1,17 @@
-"""Small numerical utilities: an RK45 integrator with dense output, a
-bracketed root finder, stencils, matrix quadrature."""
+"""Small numerical utilities: an RK45 integrator with dense output, for one
+system or an ensemble of lanes in lockstep, a bracketed root finder,
+stencils, quadrature."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .errors import DomainViolation, InsufficientSamples, IntegratorFailure
+from .errors import (DomainViolation, InsufficientSamples, IntegratorFailure,
+                     LorentzLabError)
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
@@ -113,129 +116,281 @@ class OdeResult:
     sol: DenseOutput
 
 
+@dataclass
+class OdeLanes:
+    """An ensemble ode_solve: lanes[i] is lane i's OdeResult, or the
+    LorentzLabError that ended lane i; nfev counts the stacked right-hand-side
+    calls, and row r of t holds every lane's time after the r-th round of the
+    lockstep (row 0 the starts, a finished lane keeping its last time)."""
+
+    lanes: list
+    nfev: int
+    t: np.ndarray
+
+
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
 def ode_solve(rhs, span, y0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=None):
     """Adaptive Dormand-Prince 5(4) solve of y' = rhs(t, y) over span, with
-    dense output.
+    dense output: of one system, or of an ensemble of lanes in lockstep.
 
-    Each event is a function event(t, y), and the solve stops where one
-    changes sign, located on the step's interpolant by brent_root.  Raises
-    ValueError for rtol below RTOL_FLOOR, a negative atol or a nonfinite y0,
-    and IntegratorFailure when the step size falls to the spacing of floats.
+    For one system y0 is a vector, rhs(t, y) takes one time and one state,
+    and the OdeResult returns.  For an ensemble y0 is an (L, d) stack with a
+    span per lane (one span is shared), rhs(t, y) takes the (L_act,) times
+    and (L_act, d) states of the lanes still running, and an OdeLanes
+    returns.  One system is the one-lane ensemble.  Each lane keeps its own
+    step size, error norm, events and event location, so it takes exactly
+    the steps of its solo solve.  A lane leaves the stack at its span's end,
+    at a terminal event, or at a LorentzLabError of its own: a stacked call
+    that raises one is evaluated again row by row to find its lanes, and the
+    other lanes go on.
+
+    Each event is a function event(t, y) of one lane's time and state, and
+    the lane stops where one changes sign, located on the step's interpolant
+    by brent_root.  Raises ValueError for rtol below RTOL_FLOOR, a negative
+    atol or a nonfinite y0; a lane whose step size falls to the spacing of
+    floats ends with IntegratorFailure.  One system raises its lane's error.
     """
     if not rtol >= RTOL_FLOOR:
         raise ValueError(f"rtol {rtol} is below the integrator's floor "
                          f"{RTOL_FLOOR} (100 eps)")
     if not atol >= 0.0:
         raise ValueError("atol must be nonnegative")
-    t0, t_bound = map(float, span)
     y = np.asarray(y0, dtype=float)
-    if y.ndim != 1 or not y.size or not np.isfinite(y).all():
-        raise ValueError("y0 must be a finite vector")
-    nfev = 0
+    if y.ndim not in (1, 2) or not y.size or not np.isfinite(y).all():
+        raise ValueError("y0 must be a finite vector or a stack of them")
+    if y.ndim == 2:
+        spans = np.broadcast_to(np.asarray(span, dtype=float), (len(y), 2))
+        return _lockstep(lambda t, Y: np.asarray(rhs(t, Y), dtype=float),
+                         spans, y, rtol, atol, events)
+    (lane,) = _lockstep(
+        lambda t, Y: np.asarray(rhs(t[0], Y[0]), dtype=float)[None],
+        np.array([span], dtype=float), y[None], rtol, atol, events).lanes
+    if isinstance(lane, Exception):
+        raise lane
+    return lane
 
-    def fun(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(rhs(t, y), dtype=float)
 
-    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-    ts, hs, y_olds, Qs = [t0], [], [], []
-    if t_bound == t0:  # no step: one constant segment
-        fun(t0, y)
-        return OdeResult(np.array([t0, t0]), nfev, 0, DenseOutput(
-            np.array([t0, t0]), np.ones(1), y[None], np.zeros((1, y.size, 4))))
-    f = fun(t0, y)
-    h_abs = _initial_step(fun, t0, y, t_bound, f, direction, rtol, atol)
-    K = np.empty((7, y.size))
-    g = None if events is None else [event(t0, y) for event in events]
-    t, status = t0, None
-    while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegratorFailure(
+class _Lane:
+    """One lane's step control and the segments it has accepted."""
+
+    __slots__ = ("i", "t", "t_bound", "direction", "t_new", "h", "h_abs",
+                 "min_step", "rejected", "fresh", "g", "nfev", "ts", "hs",
+                 "y_olds", "Qs")
+
+    def __init__(self, i, t0, t_bound):
+        self.i, self.t, self.t_bound = i, t0, t_bound
+        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self.ts, self.hs, self.y_olds, self.Qs = [t0], [], [], []
+        self.fresh, self.nfev = True, 0
+
+    def result(self, status):
+        ts = np.array(self.ts)
+        return OdeResult(ts, self.nfev, status, DenseOutput(
+            ts, np.array(self.hs), np.array(self.y_olds), np.array(self.Qs)))
+
+
+class _Stack:
+    """The lanes an ensemble solve still advances: lanes, the list of their
+    _Lane records, and array attributes with one row per lane; keep(mask)
+    drops the other lanes from all of them."""
+
+    def __init__(self, lanes, **arrays):
+        self.lanes = lanes
+        vars(self).update(arrays)
+
+    def keep(self, mask):
+        self.lanes = [lane for lane, k in zip(self.lanes, mask) if k]
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[mask])
+
+
+def _lockstep(fun, spans, y0, rtol, atol, events):
+    """The ensemble solve of ode_solve, fun(t, Y) taking and giving stacks.
+
+    Each round every running lane makes one step attempt, and the stages of
+    all of them go to fun as one stack.  The step controller is the one of
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4, with scipy's RK45
+    constants and operation order, run lane by lane on scalars (each error
+    norm a 1-D _rms), so a lane steps as its solo solve does: the stacked
+    stage combinations round as the solo ones.
+    """
+    n_lanes, d = y0.shape
+    out = [None] * n_lanes
+    calls = 0
+    act = _Stack([_Lane(i, t0, t1) for i, (t0, t1) in enumerate(spans)],
+                 t=spans[:, 0].copy(), y=y0)
+
+    def evaluate(t, y):
+        """fun at the running lanes' times t and states y.  Where it raises a
+        LorentzLabError, each row is evaluated alone: a lane whose row raises
+        ends with that error and leaves act, and its row the stack returned."""
+        nonlocal calls
+        if not act.lanes:  # the last lane ended at an earlier stage
+            return np.empty((0, d))
+        calls += 1
+        try:
+            return fun(t, y)
+        except LorentzLabError:
+            pass
+        rows, ok = [], np.ones(len(act.lanes), dtype=bool)
+        for j, lane in enumerate(act.lanes):
+            calls += 1
+            try:
+                rows.append(fun(t[j: j + 1], y[j: j + 1])[0])
+            except LorentzLabError as err:
+                out[lane.i], ok[j] = err, False
+        act.keep(ok)
+        return np.array(rows).reshape(-1, d)
+
+    act.f = evaluate(act.t, act.y)
+    empty = [lane.t == lane.t_bound for lane in act.lanes]
+    for lane, y, no_step in zip(act.lanes, act.y, empty):
+        lane.nfev += 1
+        if no_step:  # one constant segment
+            lane.ts.append(lane.t)
+            lane.hs.append(1.0)
+            lane.y_olds.append(y)
+            lane.Qs.append(np.zeros((d, 4)))
+            out[lane.i] = lane.result(0)
+    act.keep([not no_step for no_step in empty])
+    _initial_steps(evaluate, act, rtol, atol)
+    for lane, y in zip(act.lanes, act.y):
+        lane.nfev += 1
+        lane.g = (None if events is None
+                  else [event(lane.t, y) for event in events])
+    clock = list(spans[:, 0])
+    rounds = [clock.copy()]
+    while act.lanes:
+        small = []
+        for lane in act.lanes:
+            if lane.fresh:  # a new step
+                lane.min_step = 10 * abs(
+                    np.nextafter(lane.t, lane.direction * np.inf) - lane.t)
+                lane.h_abs = max(lane.h_abs, lane.min_step)
+                lane.rejected = False
+            small.append(lane.h_abs < lane.min_step)
+            lane.t_new = lane.t + lane.h_abs * lane.direction
+            if lane.direction * (lane.t_new - lane.t_bound) > 0:
+                lane.t_new = lane.t_bound
+            lane.h = lane.t_new - lane.t
+            lane.h_abs = abs(lane.h)
+        if any(small):
+            for lane in compress(act.lanes, small):
+                out[lane.i] = IntegratorFailure(
                     "Required step size is less than spacing between numbers.")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
-            if error_norm < 1:
-                factor = (_MAX_FACTOR if error_norm == 0 else
-                          min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-        Q = K.T.dot(_P)
-        hs.append(t_new - t)
-        y_olds.append(y)
-        Qs.append(Q)
-        t, y, f = t_new, y_new, f_new
-        if direction * (t - t_bound) >= 0:
-            status = 0
-        if events is not None:
-            g_new = [event(t, y) for event in events]
-            hit = [i for i, (a, b) in enumerate(zip(g, g_new))
-                   if (a <= 0 <= b) or (b <= 0 <= a)]
-            if hit:
-                step = DenseOutput(np.array([ts[-1], t]), np.array(hs[-1:]),
-                                   y_olds[-1][None], Q[None])
-                roots = [brent_root(lambda s, e=events[i]: e(s, step(s)),
-                                    ts[-1], t, xtol=4 * EPS) for i in hit]
-                t = min(roots) if direction > 0 else max(roots)
-                status = 1
-            g = g_new
-        if t == ts[-1] and len(ts) > 1:  # an event at the last node
-            del hs[-1], y_olds[-1], Qs[-1]
+            act.keep([not s for s in small])
+        act.t = np.array([lane.t for lane in act.lanes])
+        act.h = np.array([lane.h for lane in act.lanes])
+        act.hcol = act.h[:, None]
+        _rk_steps(evaluate, act)
+        scale = atol + np.maximum(np.abs(act.y), np.abs(act.y_new)) * rtol
+        errors = (_E @ act.K) * act.hcol / scale
+        running = [True] * len(act.lanes)
+        for j, (lane, error) in enumerate(zip(act.lanes, errors)):
+            lane.nfev += 6
+            error_norm = _rms(error)
+            lane.fresh = error_norm < 1
+            if not lane.fresh:
+                lane.h_abs *= max(_MIN_FACTOR,
+                                  _SAFETY * error_norm ** _ERROR_EXPONENT)
+                lane.rejected = True
+                continue
+            factor = (_MAX_FACTOR if error_norm == 0 else
+                      min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+            if lane.rejected:
+                factor = min(1, factor)
+            lane.h_abs *= factor
+            try:
+                status = _accept(lane, act.y[j], act.y_new[j],
+                                 act.K[j].T.dot(_P), events)
+            except LorentzLabError as err:
+                out[lane.i], running[j] = err, False
+                continue
+            if status is not None:
+                out[lane.i], running[j] = lane.result(status), False
+            clock[lane.i] = lane.t
+        rounds.append(clock.copy())
+        fresh = [lane.fresh for lane in act.lanes]
+        if all(fresh):
+            act.y, act.f = act.y_new, act.f_new
         else:
-            ts.append(t)
-    ts = np.array(ts)
-    return OdeResult(ts, nfev, status, DenseOutput(ts, np.array(hs),
-                                                   np.array(y_olds), np.array(Qs)))
+            mask = np.array(fresh)[:, None]
+            act.y = np.where(mask, act.y_new, act.y)
+            act.f = np.where(mask, act.f_new, act.f)
+        if not all(running):
+            act.keep(running)
+    return OdeLanes(out, calls, np.array(rounds))
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
-    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4),
-    for an error estimate of order 4."""
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+def _accept(lane, y, y_new, Q, events):
+    """Record lane's accepted step from y to y_new, with dense coefficients
+    Q, and move lane to its end: the lane's status, 0 at its span's end, 1
+    at a terminal event (located on the step's interpolant), else None."""
+    t = lane.t_new
+    lane.hs.append(lane.h)
+    lane.y_olds.append(y)
+    lane.Qs.append(Q)
+    status = 0 if lane.direction * (t - lane.t_bound) >= 0 else None
+    if events is not None:
+        g_new = [event(t, y_new) for event in events]
+        hit = [k for k, (a, b) in enumerate(zip(lane.g, g_new))
+               if (a <= 0 <= b) or (b <= 0 <= a)]
+        if hit:
+            step = DenseOutput(np.array([lane.ts[-1], t]), np.array([lane.h]),
+                               y[None], Q[None])
+            roots = [brent_root(lambda s, e=events[k]: e(s, step(s)),
+                                lane.ts[-1], t, xtol=4 * EPS) for k in hit]
+            t = min(roots) if lane.direction > 0 else max(roots)
+            status = 1
+        lane.g = g_new
+    if t == lane.ts[-1] and len(lane.ts) > 1:  # an event at the last node
+        del lane.hs[-1], lane.y_olds[-1], lane.Qs[-1]
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval_length)
+        lane.ts.append(t)
+    lane.t = t
+    return status
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One Dormand-Prince step of size h from (t, y) with y' = f there;
-    the stages go to the rows of K, the last being f at the new point."""
-    K[0] = f
-    for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+def _initial_steps(evaluate, act, rtol, atol):
+    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4), for
+    an error estimate of order 4, to each lane's h_abs; act.f holds the
+    right-hand sides at the starts."""
+    act.scale = atol + np.abs(act.y) * rtol
+    act.d1 = np.array([_rms(f) for f in act.f / act.scale])
+    act.h0 = np.array([
+        min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+            abs(lane.t_bound - lane.t))
+        for lane, d0, d1 in zip(act.lanes, map(_rms, act.y / act.scale),
+                                act.d1)])
+    step = act.h0 * [lane.direction for lane in act.lanes]
+    f1 = evaluate(act.t + step, act.y + step[:, None] * act.f)
+    for lane, h0, d1, diff in zip(act.lanes, act.h0, act.d1,
+                                  (f1 - act.f) / act.scale):
+        d2 = _rms(diff) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        lane.h_abs = min(100 * h0, h1, abs(lane.t_bound - lane.t))
+
+
+def _rk_steps(evaluate, act):
+    """One Dormand-Prince step of size act.h from (act.t, act.y) on every
+    lane, with y' = act.f there: the stages go to act.K[:, s], the last
+    being act.f_new at the new point act.y_new."""
+    act.ts = act.t[:, None] + _C * act.hcol
+    act.K = np.empty(act.y.shape[:1] + (7,) + act.y.shape[1:])
+    act.K[:, 0] = act.f
+    for s, a in enumerate(_A[1:], start=1):
+        rows = evaluate(act.ts[:, s], act.y + (a[:s] @ act.K[:, :s]) * act.hcol)
+        act.K[:, s] = rows  # into act.K as evaluate left it
+    act.y_new = act.y + act.hcol * (_B @ act.K[:, :-1])
+    act.f_new = evaluate(act.ts[:, -1], act.y_new)
+    act.K[:, -1] = act.f_new
 
 
 def brent_root(fun, a, b, xtol):
@@ -307,6 +462,26 @@ def stencil_derivative(ts, ys):
         raise InsufficientSamples("stencil differentiation requires a uniform grid")
     d = (-ys[4:] + 8.0 * ys[3:-1] - 8.0 * ys[1:-3] + ys[:-4]) / (12.0 * h)
     return ts[2:-2], d
+
+
+# the 4-point Gauss-Legendre rule on [-1, 1]: nodes and weights, exact to
+# degree 7
+_GAUSS_NODES = np.array([-math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5)),
+                         -math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5)),
+                         math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5)),
+                         math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5))])
+_GAUSS_WEIGHTS = np.array([18 - math.sqrt(30), 18 + math.sqrt(30),
+                           18 + math.sqrt(30), 18 - math.sqrt(30)]) / 36
+
+
+def step_quadrature(ts):
+    """(nodes, weights) of the 4-point Gauss-Legendre rule on each interval
+    between consecutive breakpoints ts, so that weights @ fun(nodes) is the
+    integral of fun from ts[0] to ts[-1]."""
+    ts = np.asarray(ts, dtype=float)
+    mid, half = (ts[1:] + ts[:-1]) / 2, (ts[1:] - ts[:-1]) / 2
+    return ((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel(),
+            (half[:, None] * _GAUSS_WEIGHTS).ravel())
 
 
 def adaptive_simpson(fun, a, b, tol=1e-9):

@@ -43,13 +43,17 @@ def quartic_2d():
 
 @pytest.fixture
 def ode_solves(monkeypatch):
-    """A list that gains an entry, the span, at every ode_solve."""
+    """A list that gains an entry, the span, for every system an ode_solve
+    solves: one for a vector y0, one per lane for a stack of them."""
     from lorentzlab import congruence, jacobi, numerics
     solves = []
 
-    def counted(rhs, span, *args, **kwargs):
-        solves.append(span)
-        return numerics.ode_solve(rhs, span, *args, **kwargs)
+    def counted(rhs, span, y0, *args, **kwargs):
+        if np.ndim(y0) == 2:
+            solves.extend(map(tuple, np.broadcast_to(span, (len(y0), 2))))
+        else:
+            solves.append(span)
+        return numerics.ode_solve(rhs, span, y0, *args, **kwargs)
     for module in (congruence, jacobi):
         monkeypatch.setattr(module, "ode_solve", counted)
     return solves

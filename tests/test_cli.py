@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,27 @@ def test_run_unknown_scenario_is_config_error(tmp_path):
     }))
     assert run(cfg) == 2
     assert "ERROR" in (tmp_path / "out" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("conf, code", [
+    ({"scenario": "minkowski4", "checks": ["schwarz_gap"]}, 0),
+    ({"scenario": "de_sitter4", "checks": ["check_timelike_convergence"]}, 1),
+    ({"scenario": "minkowski4", "checks": ["nosuch"]}, 2),
+], ids=["passing", "failing", "bad"])
+def test_python_m_lorentzlab_exits_as_main(tmp_path, conf, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(conf))
+    assert main(["run", str(path), "--out", str(tmp_path / "main")]) == code
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "lorentzlab", "run", str(path),
+                          "--out", str(tmp_path / "module")], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == code, out.stderr
+    if code != 2:  # the reports differ only in the echoed out_dir
+        module, main_ = ((tmp_path / d / "report.txt").read_text().splitlines()
+                         for d in ("module", "main"))
+        assert module[2:] == main_[2:]
 
 
 def test_csv_schema_and_determinism(tmp_path):

@@ -371,12 +371,13 @@ def test_f_laplacian_accepts_a_root_at_loose_tolerances(ds4w):
 
 def _recorded_shots(monkeypatch):
     """A list that gains (span, rtol, atol) at every shot comparison
-    solves."""
+    solves, one per lane of its geodesic_variation calls."""
     shots, variation = [], comparison.geodesic_variation
 
-    def counted(*args, **kwargs):
-        shots.append((args[3], kwargs["rtol"], kwargs["atol"]))
-        return variation(*args, **kwargs)
+    def counted(g, p0, v0, spans, **kwargs):
+        shots.extend((tuple(span), kwargs["rtol"], kwargs["atol"])
+                     for span in spans)
+        return variation(g, p0, v0, spans, **kwargs)
     monkeypatch.setattr(comparison, "geodesic_variation", counted)
     return shots
 
@@ -504,6 +505,55 @@ def test_laplacian_report_carries_newton_steps_and_miss(ds4w,
     rep = f_laplacian_distance(ds4w.metric, ds4w.weight, apex, targets[0])
     assert rep.newton_steps >= 1
     assert rep.miss <= 1e-8 * max(1.0, np.max(np.abs(targets[0])))
+
+
+# bound_infinite of the 24 packaged pairs, in pair order, when adaptive
+# Simpson (tol 1e-10) integrated f along the shot node by node; the
+# Gauss-Legendre rule on the shot's steps agrees to this, relative to
+# max(1, |bound|), a bound fixed before the rule was written
+SIMPSON_BOUND_INFINITE = [
+    -6.0, -3.0, -1.5, -0.6,
+    -9.822487948600527, -3.4930562296186896, 2.3254023678558022,
+    19.251553822772927, 86.52406695007605,
+    -27.70714455673258, -12.391413822957043, -6.277488791157408,
+    -1.6007504435777387, 8.742876768364745,
+    -157.22397641229435, -69.0283234695826, -35.74870647427057,
+    -20.937992823877504, -12.452653265610126,
+    -1113.8746532637458, -486.28824073389615, -248.89879167205206,
+    -145.58666847870504, -94.1549266119677]
+QUADRATURE_RTOL = 1e-11
+
+
+def test_the_step_quadrature_of_f_matches_the_simpson_bounds(packaged_reports):
+    for (_, _, _, rep), old in zip(packaged_reports, SIMPSON_BOUND_INFINITE):
+        assert (abs(rep.bound_infinite - old)
+                <= QUADRATURE_RTOL * max(1.0, abs(old)))
+
+
+def test_a_batch_of_pairs_reports_as_each_pair_alone(mink4, ds4w,
+                                                     packaged_reports):
+    for scen, m in ((mink4, 2.0), (ds4w, None)):
+        cases = [(apex, q, rep) for s, apex, q, rep in packaged_reports
+                 if s is scen]
+        batch = f_laplacian_distance(
+            scen.metric, scen.weight, [apex for apex, _, _ in cases],
+            [q for _, q, _ in cases], m=m, uniqueness=scen.uniqueness)
+        assert batch == [rep for _, _, rep in cases]
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_pair(mink4):
+    apex = np.zeros(4)
+    good = np.array([-1.0, 0.0, 0.0, 0.0])
+    spacelike = np.array([0.1, 3.0, 0.0, 0.0])
+    other = np.array([-2.0, 0.0, 0.0, 0.0])
+
+    def unique(a, b):
+        return b[0] != -2.0
+    for targets, error in (([good, spacelike, other], NoMaximalGeodesic),
+                           ([good, other, spacelike], OutsideUniquenessRegion)):
+        with pytest.raises(error):
+            f_laplacian_distance(mink4.metric, mink4.weight, [apex] * 3,
+                                 targets, uniqueness=unique)
 
 
 def test_f_laplacian_guards(mink4):

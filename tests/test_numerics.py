@@ -19,8 +19,11 @@ from lorentzlab import (f_laplacian_distance, integrate_geodesic,
                         integrate_jacobi, run_point_congruence, scenarios)
 from lorentzlab import comparison, congruence, jacobi
 from lorentzlab.congruence import geodesic_variation
-from lorentzlab.errors import DomainViolation, NoMaximalGeodesic
-from lorentzlab.numerics import RTOL_FLOOR, brent_root, ode_solve
+from lorentzlab.errors import (DomainViolation, LorentzLabError,
+                               NoMaximalGeodesic, SingularMetric)
+from lorentzlab.manifold import MetricField
+from lorentzlab.numerics import (DEFAULT_ATOL, DEFAULT_RTOL, RTOL_FLOOR,
+                                 brent_root, ode_solve)
 
 from test_jacobi import SWEEP_GEODESICS
 
@@ -139,6 +142,116 @@ def test_dense_output_off_its_span_is_domain_violation():
     for t in (1.5, -1.5, np.array([0.0, -2.0])):
         with pytest.raises(DomainViolation):
             sol.sol(t)
+
+
+# the tolerances of f_laplacian_distance's shots at the default tolerances
+SHOT_RTOL = DEFAULT_RTOL * comparison._SHOT_TOL_FACTOR
+SHOT_ATOL = DEFAULT_ATOL * comparison._SHOT_TOL_FACTOR
+
+
+def _packaged_shots(name):
+    """(g, [(apex, v, span)]) of the packaged f_laplacian_bounds pairs of a
+    scenario: Newton's initial guess, the past-directed comoving unit
+    velocity over the coordinate time back to q, is its accepted shot."""
+    scen = scenarios.BUILTIN_SCENARIOS[name]()
+    meta = scen.expectations["f_laplacian"]
+    if meta["mode"] == "flat":
+        pairs = [(np.zeros(4), rho) for rho in meta["rhos"]]
+    else:
+        pairs = [(scenarios.equator_point(4, t_apex), rho)
+                 for t_apex in meta["apex_ts"] for rho in meta["rhos"]]
+    v = np.array([-1.0, 0.0, 0.0, 0.0])
+    return scen.metric, [(apex, v, (0.0, rho)) for apex, rho in pairs]
+
+
+def _variation_lanes(g, shots):
+    """(rhs, spans, y0, events) of the geodesic_variation solves of shots."""
+    n = g.dim
+    y0 = np.stack([np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
+                   for p, v, _ in shots])
+    events = congruence._initial_data(g, *shots[0][:2], normalize=False)[3]
+    return (congruence._variation_rhs(g), [span for _, _, span in shots], y0,
+            events)
+
+
+def _assert_same_solve(lane, solo):
+    assert np.array_equal(lane.t, solo.t)
+    assert lane.nfev == solo.nfev and lane.status == solo.status
+    for field in ("ts", "h", "y0", "Q"):
+        assert np.array_equal(getattr(lane.sol, field),
+                              getattr(solo.sol, field))
+
+
+def _solve_lanes(rhs, spans, y0, events):
+    """The ensemble solve of the lanes, and the solo solve of each, the
+    error a solo solve raises in its place."""
+    ensemble = ode_solve(rhs, spans, y0, rtol=SHOT_RTOL, atol=SHOT_ATOL,
+                         events=events)
+    solos = []
+    for span, y in zip(spans, y0):
+        try:
+            solos.append(ode_solve(rhs, span, y, rtol=SHOT_RTOL, atol=SHOT_ATOL,
+                                   events=events))
+        except LorentzLabError as err:
+            solos.append(err)
+    return ensemble, solos
+
+
+@pytest.mark.parametrize("name", ["minkowski4", "de_sitter4_weighted"])
+def test_the_packaged_shots_step_as_lanes_as_they_do_solo(name):
+    # the 24 packaged pairs: each lane's step times, nfev, status and dense
+    # output equal its solo solve's, bit for bit
+    ensemble, solos = _solve_lanes(*_variation_lanes(*_packaged_shots(name)))
+    assert len(ensemble.lanes) in (4, 20)
+    for lane, solo in zip(ensemble.lanes, solos):
+        _assert_same_solve(lane, solo)
+    # the stack shrank as lanes ended: fewer stacked calls than solo calls,
+    # and every lane's accepted step times are among its lockstep times
+    assert ensemble.nfev < sum(solo.nfev for solo in solos)
+    assert ensemble.t.shape[1] == len(solos)
+    for column, solo in zip(ensemble.t.T, solos):
+        assert set(solo.t) <= set(column)
+
+
+def test_a_lane_leaving_the_chart_or_meeting_a_singular_metric_ends_alone():
+    """Next to the 20 weighted de Sitter shots: a lane that runs into the
+    pole margin of the angular chart stops there with status 1, as solo; a
+    lane that reaches t > 2.5, where the metric is made NaN, ends with
+    SingularMetric, found by evaluating its failing stack row by row.  Every
+    other lane is its solo solve, bit for bit."""
+    g, shots = _packaged_shots("de_sitter4_weighted")
+    lost = MetricField(dim=4, matrix=lambda p: (g.matrix(p) if p[0] <= 2.5
+                                                else np.full((4, 4), np.nan)),
+                       d_matrix=g.d_matrix, dd_matrix=g.dd_matrix,
+                       domain=g.domain)
+    apex = scenarios.equator_point(4, 1.0)
+    polar = np.array([0.0, 1.0, 0.0, 0.0])
+    polar[0] = -np.sqrt(1.0 + g.at(apex)[1, 1])
+    shots = (shots[:7] + [(apex, polar, (0.0, 2.0))] + shots[7:14]
+             + [(scenarios.equator_point(4, 2.0), np.array([1.0, 0, 0, 0]),
+                 (0.0, 1.0))] + shots[14:])
+    ensemble, solos = _solve_lanes(*_variation_lanes(lost, shots))
+    # the row-by-row evaluation adds calls to the two starting calls and six
+    # per round
+    assert ensemble.nfev > 2 + 6 * (len(ensemble.t) - 1)
+    assert solos[7].status == 1 and solos[7].t[-1] < 2.0
+    assert isinstance(solos[15], SingularMetric)
+    assert isinstance(ensemble.lanes[15], SingularMetric)
+    for k, (lane, solo) in enumerate(zip(ensemble.lanes, solos)):
+        if k != 15:
+            _assert_same_solve(lane, solo)
+
+
+def test_a_vector_y0_is_the_one_lane_ensemble():
+    rhs = lambda t, y: np.stack([y[..., 1], -y[..., 0]], axis=-1)  # noqa: E731
+    solo = ode_solve(rhs, (0.0, 7.0), [1.0, 0.0])
+    (lane,) = ode_solve(rhs, [(0.0, 7.0)], [[1.0, 0.0]]).lanes
+    _assert_same_solve(lane, solo)
+    # an empty span: one right-hand-side call and a constant segment
+    empty = ode_solve(rhs, [(0.0, 7.0), (2.0, 2.0)], [[1.0, 0.0], [0.0, 1.0]])
+    _assert_same_solve(empty.lanes[0], solo)
+    assert empty.lanes[1].nfev == 1 and empty.lanes[1].status == 0
+    assert np.array_equal(empty.lanes[1].sol(2.0), [0.0, 1.0])
 
 
 def test_geodesic_variation_matches_finite_differences(ds4w):
@@ -268,11 +381,11 @@ def test_a_newton_step_that_grows_the_residual_is_halved(ds4w, monkeypatch):
     q = apex + np.concatenate([[-1.0], aside])
     real, shots = comparison.geodesic_variation, []
 
-    def recorded(*args, **kwargs):
-        geo, J = real(*args, **kwargs)
-        rho = args[3][1]
-        shots.append((rho, np.max(np.abs(geo.point(rho) - q))))
-        return geo, J
+    def recorded(g, p0, v0, spans, **kwargs):
+        solved = real(g, p0, v0, spans, **kwargs)
+        for (_, rho), (geo, _) in zip(spans, solved):
+            shots.append((rho, np.max(np.abs(geo.point(rho) - q))))
+        return solved
     monkeypatch.setattr(comparison, "geodesic_variation", recorded)
     v, rho, _, _ = comparison._shoot_to_target(g, apex, q, 1e-10, 1e-12)
     (rho0, res0), (rho1, res1), (rho2, res2) = shots[:3]
@@ -288,11 +401,15 @@ def test_a_newton_step_whose_solve_fails_is_halved(ds4w, monkeypatch):
     want_v, want_rho, _, _ = comparison._shoot_to_target(g, apex, q, 1e-9, 1e-11)
     real, rhos = comparison.geodesic_variation, []
 
-    def failing(fail, *args, **kwargs):
-        rhos.append(args[3][1])
-        if fail(len(rhos)):
-            raise DomainViolation("this trial leaves the chart")
-        return real(*args, **kwargs)
+    def failing(fail, g, p0, v0, spans, **kwargs):
+        # lane by lane: a failing trial ends its lane with the error unsolved
+        out = []
+        for lane in zip(p0, v0, spans):
+            rhos.append(lane[2][1])
+            out += ([DomainViolation("this trial leaves the chart")]
+                    if fail(len(rhos))
+                    else real(g, *([x] for x in lane), **kwargs))
+        return out
     # the first Newton trial fails, and its half step is taken instead
     monkeypatch.setattr(comparison, "geodesic_variation",
                         lambda *a, **k: failing(lambda i: i == 2, *a, **k))
@@ -308,6 +425,45 @@ def test_a_newton_step_whose_solve_fails_is_halved(ds4w, monkeypatch):
     with pytest.raises(NoMaximalGeodesic, match="halvings"):
         comparison._shoot_to_target(g, apex, q, 1e-9, 1e-11)
     assert len(rhos) == 1 + comparison._STEP_HALVINGS + 1
+
+
+def test_lockstep_newton_keeps_each_pairs_solo_trials(ds4w, monkeypatch):
+    """One pair halves a Newton step (the target of the test above) while
+    three comoving pairs converge at once; in lockstep each pair's sequence
+    of trial shots, and its root, equal those of its solo run."""
+    g = ds4w.metric
+    apex = scenarios.equator_point(4, 1.5)
+    aside = np.array([0.15, -0.1, 0.2])
+    aside *= 0.9 / np.sqrt(aside @ g.at(apex)[1:, 1:] @ aside)
+    pairs = [(apex, apex + np.concatenate([[-1.0], aside]))]
+    for t_apex in (0.5, 1.0, 2.0):
+        comoving = scenarios.equator_point(4, t_apex)
+        pairs.append((comoving, comoving - [0.8, 0.0, 0.0, 0.0]))
+    real, calls = comparison.geodesic_variation, []
+
+    def recorded(g, p0, v0, spans, **kwargs):
+        # the apexes differ, so a lane's apex names its pair
+        calls.append([(p[0], tuple(v), span[1])
+                      for p, v, span in zip(p0, v0, spans)])
+        return real(g, p0, v0, spans, **kwargs)
+    monkeypatch.setattr(comparison, "geodesic_variation", recorded)
+
+    def trials(lanes):
+        return {t_apex: [lane[1:] for lane in lanes if lane[0] == t_apex]
+                for t_apex in (1.5, 0.5, 1.0, 2.0)}
+    together = comparison._shoot(g, pairs, 1e-10, 1e-12)
+    lockstep = trials([lane for call in calls for lane in call])
+    for pair, got in zip(pairs, together):
+        calls.clear()
+        v, rho, _, steps = comparison._shoot_to_target(g, *pair, 1e-10, 1e-12)
+        t_apex = pair[0][0]
+        assert lockstep[t_apex] == trials([lane for call in calls
+                                           for lane in call])[t_apex]
+        assert np.array_equal(got[0], v) and (got[1], got[3]) == (rho, steps)
+    # the halving pair shot more trials than steps plus one; the comoving
+    # pairs shot once, in the first stack, beside its initial guess
+    assert len(lockstep[1.5]) > together[0][3] + 1
+    assert [len(lockstep[t]) for t in (0.5, 1.0, 2.0)] == [1, 1, 1]
 
 
 def test_newton_shooting_reports_an_unreachable_target(mink4):
